@@ -17,15 +17,18 @@
  *  1. v2 + mmap + 4 decoders + worker pool   (the pipeline)
  *  2. v2 + mmap + 2 decoders + worker pool   (scaling point)
  *  3. v2 + mmap + 1 decoder  + worker pool   (overlap only)
- *  4. v2 + mmap + 4 decoders over 4 shards   (--shards path; Auto
- *     affinity resolves to pinned decoder→worker placement here)
- *  5. same, affinity forced to shared        (placement comparison)
- *  6. v2 split across 3 files + 4 decoders   (multi-file path)
+ *  4. v2 + mmap + 4 decoders over 4 shards   (--shards path)
+ *  5. v2 split across 3 files + 4 decoders   (multi-file path)
+ *  6. the 3 part files, checked serially     (multi-file reference)
  *  7. v1 + stream loader + serial engine     (the baseline)
  *
  * Every phase produces a canonicalized Report; verdict_match asserts
- * every configuration's merged report is byte-identical to the
- * serial one — the determinism contract of the TraceSource pipeline.
+ * that each configuration's merged report is byte-identical to its
+ * serial reference — the determinism contract of the TraceSource
+ * pipeline. Single-file phases are compared with the v1 baseline.
+ * The multi-file phase stamps each part's fileId (0-2) into its
+ * findings, so it is compared with phase 6, which must in turn find
+ * as many failures as the baseline.
  *
  * Flags:
  *  --smoke        tiny workload; CI uses this to validate the harness
@@ -109,8 +112,7 @@ struct Phase
 Phase
 runSource(std::string name, std::unique_ptr<TraceSource> source,
           size_t decoders, size_t workers, Timer &timer,
-          size_t rss_before,
-          IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto)
+          size_t rss_before)
 {
     Phase phase;
     phase.name = std::move(name);
@@ -121,7 +123,6 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     IngestOptions ingest_options;
     ingest_options.decoders = decoders;
     ingest_options.batch = 32;
-    ingest_options.affinity = affinity;
     IngestStats stats;
     SourceError error;
     if (!ingest(*source, pool, ingest_options, &stats, &error)) {
@@ -142,16 +143,11 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
 /** v2 file → decoder team → engine pool (optionally sharded). */
 Phase
 runPipeline(const std::string &path, size_t decoders, size_t workers,
-            size_t shards = 1,
-            IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto)
+            size_t shards = 1)
 {
     std::string name = "v2_mmap_" + std::to_string(decoders) + "dec";
     if (shards > 1)
         name += "_sh" + std::to_string(shards);
-    if (affinity == IngestOptions::Affinity::Pinned)
-        name += "_pin";
-    else if (affinity == IngestOptions::Affinity::Shared)
-        name += "_shr";
     const size_t rss_before = peakRssKb();
     Timer timer;
 
@@ -176,7 +172,7 @@ runPipeline(const std::string &path, size_t decoders, size_t workers,
         }
     }
     return runSource(std::move(name), std::move(source), decoders,
-                     workers, timer, rss_before, affinity);
+                     workers, timer, rss_before);
 }
 
 /** The same trace set split across several v2 files. */
@@ -207,6 +203,55 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
         std::make_unique<MultiTraceSource>(std::move(children));
     return runSource(std::move(name), std::move(source), decoders,
                      workers, timer, rss_before);
+}
+
+/**
+ * The part files of runMultiFile, each opened under its own fileId
+ * and checked trace by trace on one engine: the serial reference
+ * for the multi-file phase. It bypasses ingest() and the pool, so a
+ * pipeline defect cannot hide in both sides of the comparison.
+ */
+Phase
+runSerialParts(const std::vector<std::string> &paths)
+{
+    Phase phase;
+    phase.name = "v2_multi" + std::to_string(paths.size()) + "_serial";
+    const size_t rss_before = peakRssKb();
+    Timer timer;
+
+    Engine engine(ModelKind::X86);
+    Report merged;
+    for (size_t i = 0; i < paths.size(); i++) {
+        std::string error;
+        auto source = openTraceSource(paths[i], IngestMode::Mmap,
+                                      static_cast<uint32_t>(i), &error);
+        if (!source) {
+            std::fprintf(stderr, "open %s: %s\n", paths[i].c_str(),
+                         error.c_str());
+            std::exit(1);
+        }
+        std::vector<Trace> batch;
+        SourceError decode_error;
+        TraceSource::Pull result;
+        while ((result = source->pull(32, &batch, &decode_error)) ==
+               TraceSource::Pull::Items) {
+            for (const auto &trace : batch)
+                merged.merge(engine.check(trace));
+            batch.clear();
+        }
+        if (result == TraceSource::Pull::Error) {
+            std::fprintf(stderr, "decode failed: %s\n",
+                         decode_error.str().c_str());
+            std::exit(1);
+        }
+    }
+    merged.canonicalize();
+
+    phase.seconds = timer.elapsedSec();
+    phase.rssGrowthKb = peakRssKb() - rss_before;
+    phase.verdict = merged.str();
+    phase.failCount = merged.failCount();
+    return phase;
 }
 
 /** v1 file → sequential stream loader → one inline engine. */
@@ -319,18 +364,20 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(runPipeline(v2_path, 2, workers));
     shape.phases.push_back(runPipeline(v2_path, 1, workers));
     shape.phases.push_back(runPipeline(v2_path, 4, workers, 4));
-    shape.phases.push_back(runPipeline(v2_path, 4, workers, 4,
-                                       IngestOptions::Affinity::Shared));
-    shape.phases.push_back(runMultiFile(part_paths, 4, workers));
-    shape.phases.push_back(runSerialBaseline(v1_path));
+    Phase multi = runMultiFile(part_paths, 4, workers);
+    Phase parts_serial = runSerialParts(part_paths);
+    Phase serial = runSerialBaseline(v1_path);
 
-    shape.verdictMatch = true;
-    for (const auto &phase : shape.phases) {
-        shape.verdictMatch =
-            shape.verdictMatch &&
-            phase.verdict == shape.phases.back().verdict &&
-            phase.failCount == shape.phases.back().failCount;
-    }
+    const auto same = [](const Phase &a, const Phase &b) {
+        return a.verdict == b.verdict && a.failCount == b.failCount;
+    };
+    shape.verdictMatch = same(multi, parts_serial) &&
+                         parts_serial.failCount == serial.failCount;
+    for (const auto &phase : shape.phases)
+        shape.verdictMatch = shape.verdictMatch && same(phase, serial);
+    shape.phases.push_back(std::move(multi));
+    shape.phases.push_back(std::move(parts_serial));
+    shape.phases.push_back(std::move(serial));
 
     std::remove(v2_path.c_str());
     std::remove(v1_path.c_str());

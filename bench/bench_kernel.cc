@@ -1,6 +1,6 @@
 /**
  * @file
- * Checking-kernel ablation harness: one binary measuring the three
+ * Checking-kernel ablation harness: one binary measuring the
  * rewrite axes end to end and emitting the results as JSON for CI
  * trend tracking.
  *
@@ -13,9 +13,8 @@
  *    assign loop over identical sorted disjoint ranges.
  *  - state: one reused engine (capacity-retaining reset) vs a fresh
  *    engine per trace.
- *  - dispatch: model-templated kernel vs per-op virtual dispatch,
- *    and the batched write-run kernel vs the same templated kernel
- *    with batching off (Dispatch::TemplatedPerOp).
+ *  - write runs: the batched write-run kernel vs the per-op
+ *    reference loop (batchWrites = false).
  *
  * Flags:
  *  --smoke        tiny workload (seconds -> milliseconds); CI uses
@@ -313,38 +312,7 @@ measureStateReuse(size_t traces_n, size_t rounds)
     return s;
 }
 
-// --- dispatch: templated vs virtual --------------------------------
-
-Section
-measureDispatch(size_t rounds, int passes)
-{
-    const auto traces = makeTraces(1, rounds, 11);
-    const Trace &trace = traces.front();
-    volatile uint64_t sink = 0;
-
-    Engine templated(ModelKind::X86, Engine::Dispatch::Templated);
-    const double fast_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += templated.check(trace).failCount();
-    });
-
-    Engine virtualised(ModelKind::X86, Engine::Dispatch::Virtual);
-    const double slow_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += virtualised.check(trace).failCount();
-    });
-
-    const double total = static_cast<double>(trace.size()) * passes;
-    Section s;
-    s.name = "model_dispatch";
-    s.baseline = "virtual";
-    s.candidate = "templated";
-    s.baselineMops = total / slow_sec * 1e-6;
-    s.candidateMops = total / fast_sec * 1e-6;
-    return s;
-}
-
-// --- dispatch: batched write runs vs per-op templated --------------
+// --- engine: batched write runs vs per-op -------------------------
 
 /**
  * Table-1-shaped traces: each round writes 8 distinct lines back to
@@ -381,13 +349,13 @@ measureEngineBatch(size_t traces_n, size_t rounds)
         total_ops += t.size();
     volatile uint64_t sink = 0;
 
-    Engine batched(ModelKind::X86, Engine::Dispatch::Templated);
+    Engine batched(ModelKind::X86);
     const double batched_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
             sink += batched.check(t).failCount();
     });
 
-    Engine per_op(ModelKind::X86, Engine::Dispatch::TemplatedPerOp);
+    Engine per_op(ModelKind::X86, /*batchWrites=*/false);
     const double perop_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
             sink += per_op.check(t).failCount();
@@ -395,8 +363,8 @@ measureEngineBatch(size_t traces_n, size_t rounds)
 
     Section s;
     s.name = "engine_batched_writes";
-    s.baseline = "templated_per_op";
-    s.candidate = "templated_batched";
+    s.baseline = "per_op";
+    s.candidate = "batched";
     s.baselineMops =
         static_cast<double>(total_ops) / perop_sec * 1e-6;
     s.candidateMops =
@@ -487,7 +455,7 @@ main(int argc, char **argv)
 
     pmtest::bench::banner("Kernel ablation",
                           "chunked storage, batched splices, state "
-                          "reuse, devirtualised dispatch");
+                          "reuse, batched write runs");
 
     using Flat = pmtest::bench::FlatIntervalMap<uint64_t>;
     using Node = pmtest::bench::NodeIntervalMap<uint64_t>;
@@ -517,7 +485,6 @@ main(int argc, char **argv)
             "node_std_map"));
         sections.push_back(measureBatchAssign(128, 16, 6));
         sections.push_back(measureStateReuse(64, 32));
-        sections.push_back(measureDispatch(512, 8));
         sections.push_back(measureEngineBatch(32, 32));
     } else {
         sections.push_back(measureStorage<Flat>(
@@ -540,7 +507,6 @@ main(int argc, char **argv)
             "node_hot4k", "node_std_map"));
         sections.push_back(measureBatchAssign(512, 16, 10 * sp));
         sections.push_back(measureStateReuse(512 * s, 64));
-        sections.push_back(measureDispatch(4096, 100 * sp));
         sections.push_back(measureEngineBatch(256 * s, 64));
     }
 

@@ -599,7 +599,6 @@ CheckSession::run()
             IngestOptions ingest_options;
             ingest_options.decoders = decoders;
             ingest_options.batch = plan.batch;
-            ingest_options.affinity = plan.affinity;
             ingest_options.progress = &ingest_progress;
             IngestStats ingest_stats;
             ingest_ok = ingest(*source, pool, ingest_options,

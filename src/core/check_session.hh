@@ -70,7 +70,6 @@ struct CheckPlan
     /** 0 = no explicit flag (resolve via env/core layout). */
     size_t decoders = 0;
     size_t shards = 1;
-    IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto;
     IngestMode ingestMode = IngestMode::Auto;
 
     // Output surfaces.

@@ -13,12 +13,11 @@
  *    tree, TX-checker write list) lives in the engine and is reset —
  *    clearing contents but retaining capacity — rather than rebuilt,
  *    so steady-state checking allocates nothing per trace.
- *  - The per-op loop is a kernel templated on the concrete
- *    persistency model (the model classes are final and define
- *    apply() inline), so model dispatch is selected once per trace by
- *    ModelKind and the per-op switch inlines instead of paying a
- *    virtual call per operation. Dispatch::Virtual retains the
- *    classic one-virtual-call-per-op path as an ablation baseline.
+ *  - One kernel checks every model through the PersistencyModel
+ *    interface (§5.2), one virtual call per operation, and batches
+ *    runs of consecutive writes into one sorted shadow update. The
+ *    per-op loop (batchWrites = false) is kept only as the reference
+ *    the batched path is tested against.
  */
 
 #ifndef PMTEST_CORE_ENGINE_HH
@@ -47,19 +46,11 @@ namespace pmtest::core
 class Engine
 {
   public:
-    /** How the per-op model rules are invoked. */
-    enum class Dispatch
-    {
-        Templated,      ///< model-specialized kernel with batched
-                        ///< write runs (default; inlined)
-        TemplatedPerOp, ///< model-specialized kernel, batching off
-                        ///< (ablation baseline for the batch win)
-        Virtual,        ///< one virtual call per op (the classic
-                        ///< per-op oracle; ablation baseline)
-    };
-
-    explicit Engine(ModelKind kind,
-                    Dispatch dispatch = Dispatch::Templated);
+    /**
+     * @param batchWrites batch write runs (the default); false
+     *        selects the per-op reference loop used by the tests.
+     */
+    explicit Engine(ModelKind kind, bool batchWrites = true);
 
     /** Check one trace and produce its report. */
     Report check(const Trace &trace);
@@ -72,9 +63,6 @@ class Engine
 
     /** The model in use. */
     const PersistencyModel &model() const { return *model_; }
-
-    /** The dispatch mode in use. */
-    Dispatch dispatch() const { return dispatch_; }
 
   private:
     /**
@@ -99,12 +87,11 @@ class Engine
         void reset();
     };
 
-    /** The per-trace loop, templated on the concrete model type. */
-    template <typename M>
-    void runTrace(M &model, const Trace &trace, Report &report);
+    /** The per-trace loop. */
+    void runTrace(const Trace &trace, Report &report);
 
     /**
-     * Batched write runs (Dispatch::Templated only): consume the
+     * Batched write runs (when batchWrites_ is set): consume the
      * maximal run of consecutive Write ops starting at @p i, applying
      * the per-op transaction checks immediately but deferring the
      * shadow updates into writeBatch_, flushed in one sorted batched
@@ -128,12 +115,10 @@ class Engine
                         size_t index, TraceState &state,
                         Report &report);
 
-    template <typename M>
-    void handleOp(M &model, const PmOp &op, size_t index,
-                  TraceState &state, Report &report);
-    template <typename M>
-    void handleChecker(const M &model, const PmOp &op, size_t index,
-                       TraceState &state, Report &report);
+    void handleOp(const PmOp &op, size_t index, TraceState &state,
+                  Report &report);
+    void handleChecker(const PmOp &op, size_t index, TraceState &state,
+                       Report &report);
     void handleTxEvent(const PmOp &op, size_t index, TraceState &state,
                        Report &report);
 
@@ -143,8 +128,7 @@ class Engine
     /** Writes batched per flush (bounds the overlap scan). */
     static constexpr size_t kWriteBatchMax = 32;
 
-    ModelKind kind_;
-    Dispatch dispatch_;
+    bool batchWrites_;
     std::unique_ptr<PersistencyModel> model_;
     TraceState state_;
     /** Pending write ranges of the current run (reused storage). */

@@ -356,47 +356,6 @@ EnginePool::submitBatch(std::vector<Trace> traces)
 }
 
 void
-EnginePool::submitBatchTo(size_t slot, std::vector<Trace> traces)
-{
-    if (traces.empty())
-        return;
-    obs::SpanScope span(obs::Stage::PoolSubmit);
-    obs::count(obs::Counter::TracesSubmitted, traces.size());
-    obs::count(obs::Counter::BatchesSubmitted);
-    {
-        std::lock_guard<std::mutex> lock(resultMutex_);
-        submitted_ += traces.size();
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-
-    if (workers_.empty()) {
-        for (auto &t : traces)
-            checkInline(std::move(t));
-        return;
-    }
-
-    Worker &target = *workers_[slot % workers_.size()];
-    const size_t batch_size = traces.size();
-    if (target.queue.tryPushAll(traces)) {
-        notifyWork(batch_size);
-        return;
-    }
-    // Target full: no spill — blocking here *is* the placement
-    // contract. Feed item by item so the owner (and thieves) can
-    // drain concurrently, and account the producer stall.
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
-    obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    for (auto &t : traces) {
-        if (!target.queue.tryPush(t))
-            target.queue.push(std::move(t));
-        notifyWork();
-    }
-    traces.clear();
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
-}
-
-void
 EnginePool::drain()
 {
     std::unique_lock<std::mutex> lock(resultMutex_);

@@ -160,20 +160,6 @@ class EnginePool
     void submitBatch(std::vector<Trace> traces);
 
     /**
-     * Submit a batch directly to worker slot @p slot % workerCount()
-     * — the pinned-placement variant used by the core-aware ingest:
-     * a shard's traces keep landing on one engine whose TraceState
-     * (shadow maps, chunk hints) stays warm for that shard's address
-     * pattern. Unlike submitBatch there is no spill to other queues:
-     * a full target queue blocks (accounted as producer stall), since
-     * spilling would defeat the placement. Work stealing may still
-     * rebalance a deep backlog; placement is warm-affinity
-     * best-effort, never a correctness property (reports
-     * canonicalize). Inline pools check on the caller as usual.
-     */
-    void submitBatchTo(size_t slot, std::vector<Trace> traces);
-
-    /**
      * Block until every submitted trace has been checked
      * (PMTest_GET_RESULT).
      */

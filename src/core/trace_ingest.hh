@@ -41,35 +41,10 @@ struct IngestProgress
 /** Knobs for ingest(). */
 struct IngestOptions
 {
-    /**
-     * Decoder→engine placement policy for multi-source inputs
-     * (shards or file sets).
-     */
-    enum class Affinity
-    {
-        /**
-         * Pinned when it can help: a multi-source input and at
-         * least two pool workers. Otherwise shared.
-         */
-        Auto,
-        /** All decoders pull one shared cursor; round-robin submit. */
-        Shared,
-        /**
-         * Each child source is drained by one decoder and submitted
-         * to one fixed worker slot (child index modulo workers), so
-         * a shard's traces keep hitting an engine whose TraceState
-         * is warm for that shard's address pattern. Falls back to
-         * Shared for single sources and inline pools.
-         */
-        Pinned,
-    };
-
     /** Decoder threads (>= 1). */
     size_t decoders = 1;
     /** Traces submitted to the pool per submitBatch() call. */
     size_t batch = 8;
-    /** Placement policy (canonical reports are identical in all). */
-    Affinity affinity = Affinity::Auto;
     /** Optional live-progress mirror (not owned; may be null). */
     IngestProgress *progress = nullptr;
 };

@@ -62,8 +62,6 @@ main(int argc, char **argv)
 {
     core::CheckPlan plan;
     int model = static_cast<int>(core::ModelKind::X86);
-    int affinity =
-        static_cast<int>(core::IngestOptions::Affinity::Auto);
     int ingest = static_cast<int>(IngestMode::Auto);
     size_t metrics_port = static_cast<size_t>(-1);
     std::string worker_spec;
@@ -96,15 +94,6 @@ main(int argc, char **argv)
                 "decoder threads feeding the pool", 1);
     cli.addSize("--shards", &plan.shards,
                 "split one v2 input into N index slices", 1);
-    cli.addChoice(
-        "--affinity", &affinity,
-        {{"auto",
-          static_cast<int>(core::IngestOptions::Affinity::Auto)},
-         {"pinned",
-          static_cast<int>(core::IngestOptions::Affinity::Pinned)},
-         {"shared",
-          static_cast<int>(core::IngestOptions::Affinity::Shared)}},
-        "decoder-to-engine placement for multi-source inputs");
     cli.addFlag("--stats", &plan.showStats,
                 "print dispatch/ingest counters (wins over --quiet)");
     cli.addString("--metrics-json", &plan.metricsJsonPath,
@@ -130,7 +119,7 @@ main(int argc, char **argv)
     cli.addFlag("--metrics-linger", &plan.metricsLinger,
                 "keep the scrape endpoint up after the run");
     cli.addString("--worker", &worker_spec,
-                  "run shard i of N (\"i/N\"); needs --report-out");
+                  "run shard i of N; needs --report-out", "i/N");
     cli.addSize("--distribute", &plan.distribute,
                 "fork N workers and merge their reports", 1);
     cli.addString("--report-out", &plan.reportOutPath,
@@ -141,8 +130,6 @@ main(int argc, char **argv)
     if (status != CliStatus::Ok)
         return util::cliExitCode(status);
     plan.model = static_cast<core::ModelKind>(model);
-    plan.affinity =
-        static_cast<core::IngestOptions::Affinity>(affinity);
     plan.ingestMode = static_cast<IngestMode>(ingest);
     if (metrics_port != static_cast<size_t>(-1))
         plan.metricsPort = static_cast<int32_t>(metrics_port);

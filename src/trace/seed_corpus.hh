@@ -4,8 +4,9 @@
  * trace per fixable finding class (x86 model), each op tagged with a
  * synthetic source location naming the class. Shared between the
  * pmtest_seed_corpus tool (which serializes it for the detect→repair
- * →verify loop) and the kernel-equivalence tests (which pin every
- * dispatch mode to identical verdicts on exactly these shapes).
+ * →verify loop) and the kernel-equivalence tests (which pin the
+ * batched and per-op kernels to identical verdicts on exactly these
+ * shapes).
  */
 
 #ifndef PMTEST_TRACE_SEED_CORPUS_HH

@@ -38,12 +38,13 @@ CliParser::addSize(const char *name, size_t *out, const char *help,
 
 void
 CliParser::addString(const char *name, std::string *out,
-                     const char *help)
+                     const char *help, const char *placeholder)
 {
     Spec spec;
     spec.name = name;
     spec.kind = Kind::String;
     spec.help = help;
+    spec.placeholder = placeholder;
     spec.stringOut = out;
     specs_.push_back(std::move(spec));
 }
@@ -90,7 +91,7 @@ CliParser::usageToken(const Spec &spec) const
       case Kind::Size:
         return "[" + spec.name + "=N]";
       case Kind::String:
-        return "[" + spec.name + "=FILE]";
+        return "[" + spec.name + "=" + spec.placeholder + "]";
       case Kind::OptionalString:
         return "[" + spec.name + "[=FILE]]";
       case Kind::Choice: {

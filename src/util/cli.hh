@@ -77,9 +77,12 @@ class CliParser
     void addSize(const char *name, size_t *out, const char *help,
                  size_t clampMin = 0, size_t maxValue = ~size_t{0});
 
-    /** A string option `--name=VALUE`; the empty value is an error. */
+    /**
+     * A string option `--name=VALUE`; the empty value is an error.
+     * @p placeholder names the value in the usage and help text.
+     */
     void addString(const char *name, std::string *out,
-                   const char *help);
+                   const char *help, const char *placeholder = "FILE");
 
     /**
      * A string option whose value is optional: bare `--name` sets
@@ -137,6 +140,7 @@ class CliParser
         std::string name; ///< including leading dashes ("--workers")
         Kind kind;
         const char *help;
+        const char *placeholder = "FILE"; ///< String value in usage
         bool *boolOut = nullptr;
         size_t *sizeOut = nullptr;
         std::string *stringOut = nullptr;
@@ -146,7 +150,7 @@ class CliParser
         size_t maxValue = ~size_t{0};
     };
 
-    /** "--name=N" / "--name=FILE" / "--name=x|y" usage rendering. */
+    /** "--name=N" / "--name=VALUE" / "--name=x|y" usage rendering. */
     std::string usageToken(const Spec &spec) const;
 
     CliStatus fail(const std::string &message) const;

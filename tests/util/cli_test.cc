@@ -174,6 +174,29 @@ TEST(CliTest, HelpPrintsToStdout)
     EXPECT_NE(out.find("<file>"), std::string::npos);
 }
 
+TEST(CliTest, StringPlaceholderNamesTheValue)
+{
+    std::string worker, out_path;
+    CliParser cli("t");
+    cli.addString("--worker", &worker, "run shard i of N", "i/N");
+    cli.addString("--report-out", &out_path, "write the report");
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(parse(cli, {"--help"}), CliStatus::Help);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("[--worker=i/N] [--report-out=FILE]"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\n  --worker=i/N                 run shard i "
+                       "of N\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\n  --report-out=FILE            write the "
+                       "report\n"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("--worker=FILE"), std::string::npos) << out;
+}
+
 TEST(CliTest, PositionalCountsEnforced)
 {
     CliParser cli("t", "<in> <out>");
