@@ -7,10 +7,11 @@
  * two workers, quantifying what decoupling buys.
  *
  * Two dispatch experiments follow:
- *  - skewed trace sizes: one 100k-op trace among thousands of 100-op
- *    traces, dispatched to 4 workers with stealing off (the original
- *    pinned round-robin — small traces queue head-of-line behind the
- *    giant) vs stealing on (idle workers steal the stuck queue).
+ *  - skewed trace sizes: one 100k-op trace submitted ahead of
+ *    thousands of 100-op traces to 4 workers sharing one queue. The
+ *    head-of-line number is the time until every small trace has a
+ *    result against the time until the giant has one too: the small
+ *    traces must not wait for the giant.
  *  - bounded backpressure: a fast producer against a single worker
  *    with a small queue capacity — the queue depth stays at the
  *    bound and the overflow shows up as producer stall time instead
@@ -24,7 +25,6 @@
 #include "bench/bench_util.hh"
 #include "core/engine_pool.hh"
 #include "util/clock.hh"
-#include "util/cpu.hh"
 #include "workloads/microbench.hh"
 
 namespace
@@ -58,7 +58,7 @@ struct SkewResult
 
 /** One @p giant_ops trace among @p smalls 100-op traces, 4 workers. */
 SkewResult
-runSkewed(bool stealing, size_t giant_ops, size_t smalls)
+runSkewed(size_t giant_ops, size_t smalls)
 {
     // Prebuild the traces: the timer must measure dispatch +
     // checking, not trace construction on the producer. The giant
@@ -71,15 +71,11 @@ runSkewed(bool stealing, size_t giant_ops, size_t smalls)
     for (size_t i = 0; i < smalls; i++)
         traces.push_back(makeTrace(1 + i, 100, 16));
 
-    core::PoolOptions options;
-    options.workers = 4;
-    options.workStealing = stealing;
-    core::EnginePool pool(options);
+    core::EnginePool pool(core::ModelKind::X86, 4);
 
-    // The giant goes first (round-robin lands it on worker 0); the
-    // smalls follow in dispatch batches so the producer keeps every
-    // queue backlogged — the measurement is then checking-bound and
-    // the two modes differ only in who drains the giant's queue.
+    // The giant goes first, so one worker takes it at once; the
+    // smalls follow in dispatch batches so the producer keeps the
+    // queue backlogged and the measurement is checking-bound.
     constexpr size_t kDispatchBatch = 64;
     Timer timer;
     pool.submit(std::move(traces[0]));
@@ -96,9 +92,8 @@ runSkewed(bool stealing, size_t giant_ops, size_t smalls)
 
     SkewResult result;
     // Head-of-line metric: when is every *small* trace's result
-    // ready? Pinned dispatch parks a quarter of them behind the giant
-    // (checked >= smalls leaves at most one trace outstanding, so the
-    // error is one small trace).
+    // ready? (checked >= smalls leaves at most one trace outstanding,
+    // so the error is one small trace.)
     while (pool.tracesChecked() < smalls)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
     result.smallsSeconds = timer.elapsedSec();
@@ -121,7 +116,7 @@ runBackpressure(size_t capacity, size_t traces)
     Timer timer;
     for (size_t i = 0; i < traces; i++) {
         pool.submit(makeTrace(i, 300, 64));
-        max_depth = std::max(max_depth, pool.stats().queuedTraces());
+        max_depth = std::max(max_depth, pool.stats().queuedTraces);
     }
     pool.drain();
     const double sec = timer.elapsedSec();
@@ -186,41 +181,21 @@ main()
     const size_t giant_ops = 100000 * bench::scale();
     const size_t smalls = 1000 * bench::scale();
     // Best-of-3 (on the head-of-line metric) to de-noise.
-    SkewResult pinned = runSkewed(false, giant_ops, smalls);
-    SkewResult stealing = runSkewed(true, giant_ops, smalls);
+    SkewResult skew = runSkewed(giant_ops, smalls);
     for (int rep = 1; rep < 3; rep++) {
-        SkewResult p = runSkewed(false, giant_ops, smalls);
-        if (p.smallsSeconds < pinned.smallsSeconds)
-            pinned = p;
-        SkewResult s = runSkewed(true, giant_ops, smalls);
-        if (s.smallsSeconds < stealing.smallsSeconds)
-            stealing = s;
+        SkewResult s = runSkewed(giant_ops, smalls);
+        if (s.smallsSeconds < skew.smallsSeconds)
+            skew = s;
     }
-    std::printf("pinned round-robin: smalls done %s s, all done %s s\n",
-                fmtDouble(pinned.smallsSeconds, 3).c_str(),
-                fmtDouble(pinned.totalSeconds, 3).c_str());
-    std::printf("work stealing:      smalls done %s s, all done %s s\n",
-                fmtDouble(stealing.smallsSeconds, 3).c_str(),
-                fmtDouble(stealing.totalSeconds, 3).c_str());
-    std::printf("head-of-line speedup (time to small-trace results): "
-                "%.2fx, %llu steals\n",
-                pinned.smallsSeconds / stealing.smallsSeconds,
-                static_cast<unsigned long long>(stealing.stats.steals));
-    // 4 workers + 1 producer want 5 cores; below that, go through
-    // the shared detection helper (PMTEST_WORKERS overrides it, so a
-    // CI pin or a big-machine run can force either note path).
-    const size_t cores = util::configuredWorkers();
-    if (cores < 5) {
-        std::printf("note: %zu effective core(s) — total wall time is "
-                    "work-conserving here; on a multicore host the "
-                    "speedup shows in 'all done' too.\n",
-                    cores);
-    }
-    std::printf("%s\n", stealing.stats.str().c_str());
-    std::printf("Expected shape: >= 1.5x — without stealing the small "
-                "traces round-robined behind the 100k-op trace wait "
-                "for it; with stealing idle workers drain that queue "
-                "while the giant is still being checked.\n\n");
+    std::printf("smalls done %s s, all done %s s: small-trace results "
+                "arrive at %.0f%% of the total time\n",
+                fmtDouble(skew.smallsSeconds, 3).c_str(),
+                fmtDouble(skew.totalSeconds, 3).c_str(),
+                100.0 * skew.smallsSeconds / skew.totalSeconds);
+    std::printf("%s\n", skew.stats.str().c_str());
+    std::printf("Expected shape: smalls done well before all done — "
+                "idle workers take the small traces while one worker "
+                "is still checking the giant.\n\n");
 
     bench::banner("Dispatch", "bounded queue backpressure, 1 worker");
     runBackpressure(/*capacity=*/64, /*traces=*/2000 * bench::scale());

@@ -31,7 +31,7 @@ REQUIRED_PROM = [
     "pmtest_snapshot_nanoseconds",
     "pmtest_traces_checked_total",
     "pmtest_pool_inflight_traces",
-    "pmtest_worker_queue_depth",
+    "pmtest_pool_queued_traces",
     "pmtest_ingest_traces_consumed",
     "pmtest_ingest_bytes_consumed",
     "pmtest_process_resident_bytes",
@@ -77,7 +77,7 @@ def check_json(path, live):
         if not isinstance(gauges, dict):
             fail(f"{path}: gauges object missing")
         pool = gauges.get("pool", {})
-        for key in ("in_flight", "queued", "queue_depths"):
+        for key in ("in_flight", "queued"):
             if key not in pool:
                 fail(f"{path}: gauges.pool.{key} missing")
         ingest = gauges.get("ingest", {})

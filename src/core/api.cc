@@ -19,23 +19,11 @@ namespace
  * The process-wide framework state behind the PMTest_* API. One
  * instance exists at a time; pmtestInit()/pmtestExit() manage it.
  */
-/** Build engine-pool options from the public config. */
-core::PoolOptions
-poolOptions(const Config &config)
-{
-    core::PoolOptions options;
-    options.model = config.model;
-    options.workers = config.workers;
-    options.queueCapacity = config.queueCapacity;
-    options.workStealing = config.workStealing;
-    return options;
-}
-
 class Framework
 {
   public:
     explicit Framework(const Config &config)
-        : config_(config), pool_(poolOptions(config))
+        : config_(config), pool_(config.model, config.workers)
     {
     }
 

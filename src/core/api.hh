@@ -38,18 +38,11 @@ struct Config
     /** Engine worker threads; 0 checks traces inline (ablation). */
     size_t workers = 1;
     /**
-     * Per-worker trace queue bound; a full queue blocks the producer
-     * (backpressure). 0 consults PMTEST_QUEUE_CAP, else unbounded.
-     */
-    size_t queueCapacity = 0;
-    /**
      * Seal-side batching: sealed traces accumulate per thread and are
      * submitted N at a time as one dispatch unit, amortizing queue
      * locking for workloads that seal many small traces. 1 disables.
      */
     size_t traceBatch = 1;
-    /** Idle engine workers steal queued traces from loaded peers. */
-    bool workStealing = true;
 };
 
 /** @{ Framework lifecycle (paper: PMTest_INIT / PMTest_EXIT). */
@@ -157,8 +150,8 @@ pmem::PmPool *pmtestAttachedPool();
 uint64_t pmtestTracesSubmitted();
 uint64_t pmtestOpsRecorded();
 /**
- * Dispatch statistics of the engine pool (queue depths, steals,
- * producer stall time). Empty when the framework is not initialized.
+ * Dispatch statistics of the engine pool (queue depth, per-worker
+ * counts, producer stall time). Empty when the framework is not initialized.
  */
 core::PoolStats pmtestPoolStats();
 /** @} */

@@ -549,11 +549,6 @@ CheckSession::run()
         source ? static_cast<size_t>(source->totalOps()) : 0;
     const size_t source_count = source ? source->sourceCount() : 0;
 
-    PoolOptions options;
-    options.model = plan.model;
-    options.workers = workers;
-    options.queueCapacity = plan.queueCap;
-
     Report merged;
     PoolStats stats;
     size_t pool_workers = 0;
@@ -561,7 +556,7 @@ CheckSession::run()
     SourceError ingest_error;
     SessionServices services; ///< outlives the pool (linger)
     {
-        EnginePool pool(options);
+        EnginePool pool(plan.model, workers);
         IngestProgress ingest_progress;
 
         obs::ServiceOptions service_options;

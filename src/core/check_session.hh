@@ -65,7 +65,6 @@ struct CheckPlan
     size_t maxFindings = 50;
     /** SIZE_MAX = no explicit flag (resolve via env/core layout). */
     size_t workers = static_cast<size_t>(-1);
-    size_t queueCap = 0;
     size_t batch = 1;
     /** 0 = no explicit flag (resolve via env/core layout). */
     size_t decoders = 0;

@@ -1,53 +1,11 @@
 #include "core/engine_pool.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/telemetry.hh"
-#include "util/clock.hh"
 
 namespace pmtest::core
 {
-
-namespace
-{
-
-/**
- * Resolve the per-worker queue bound: explicit option, else the
- * PMTEST_QUEUE_CAP environment variable, else a default derived from
- * the worker count. The default bounds the *total* backlog (and so
- * the memory a stalled checker pipeline can pin) at a fixed number of
- * traces split across the queues — more workers means shallower
- * queues, not more queued traces.
- */
-size_t
-resolveQueueCapacity(size_t requested, size_t workers)
-{
-    if (workers == 0)
-        return 0; // inline mode has no queues
-    if (requested == PoolOptions::kUnboundedQueue)
-        return 0;
-    if (requested != 0)
-        return requested;
-    if (const char *env = std::getenv("PMTEST_QUEUE_CAP")) {
-        const long long parsed = std::atoll(env);
-        return parsed > 0 ? static_cast<size_t>(parsed) : 0;
-    }
-    constexpr size_t target_backlog = 1024; ///< total queued traces
-    constexpr size_t min_per_worker = 16;
-    return std::max(min_per_worker, target_backlog / workers);
-}
-
-} // namespace
-
-size_t
-PoolStats::queuedTraces() const
-{
-    size_t total = 0;
-    for (const auto &w : workers)
-        total += w.queueDepth;
-    return total;
-}
 
 std::string
 PoolStats::str() const
@@ -55,12 +13,11 @@ PoolStats::str() const
     std::ostringstream out;
     out << "pool: " << tracesSubmitted << " submitted, "
         << tracesCompleted << " completed, " << batchesSubmitted
-        << " batches, " << steals << " stolen traces in " << stealScans
-        << " scans, producer stalled "
+        << " batches, " << queuedTraces << " queued, producer stalled "
         << static_cast<double>(producerStallNanos) * 1e-6 << " ms"
         << " (capacity "
         << (queueCapacity ? std::to_string(queueCapacity) : "unbounded")
-        << ", stealing " << (workStealing ? "on" : "off") << ")\n";
+        << ")\n";
     if (ingest.active) {
         out << "ingest: " << ingest.bytesMapped << " bytes "
             << (ingest.mmapBacked ? "mmapped" : "buffered")
@@ -75,35 +32,28 @@ PoolStats::str() const
     for (size_t i = 0; i < workers.size(); i++) {
         const WorkerStats &w = workers[i];
         out << "  worker " << i << ": " << w.tracesChecked
-            << " traces, " << w.opsProcessed << " ops, " << w.steals
-            << " stolen (" << w.stealScans << " scans), depth "
-            << w.queueDepth << "\n";
+            << " traces, " << w.opsProcessed << " ops\n";
     }
     return out.str();
 }
 
 EnginePool::EnginePool(const PoolOptions &options)
-    : kind_(options.model),
-      queueCapacity_(
-          resolveQueueCapacity(options.queueCapacity, options.workers)),
-      stealing_(options.workStealing)
+    : queue_(options.queueCapacity)
 {
     if (options.workers == 0) {
-        inlineEngine_ = std::make_unique<Engine>(kind_);
+        inlineEngine_ = std::make_unique<Engine>(options.model);
         return;
     }
     workers_.reserve(options.workers);
     for (size_t i = 0; i < options.workers; i++) {
-        auto w = std::make_unique<Worker>(queueCapacity_);
-        w->engine = std::make_unique<Engine>(kind_);
-        workers_.push_back(std::move(w));
-    }
-    for (size_t i = 0; i < workers_.size(); i++) {
-        Worker *raw = workers_[i].get();
+        auto w = std::make_unique<Worker>(options.model);
+        Worker *raw = w.get();
         raw->thread = std::thread([this, raw, i] {
             obs::nameThread("pool-worker-" + std::to_string(i));
-            workerLoop(*raw);
+            while (std::optional<Trace> trace = queue_.pop())
+                checkOn(*raw, std::move(*trace));
         });
+        workers_.push_back(std::move(w));
     }
 }
 
@@ -114,128 +64,21 @@ EnginePool::EnginePool(ModelKind kind, size_t workers)
 
 EnginePool::~EnginePool()
 {
-    {
-        std::lock_guard<std::mutex> lock(workMutex_);
-        stopping_ = true;
-    }
-    // Closing the queues releases any producer still blocked on a
-    // full queue (no new submissions may race destruction, as before).
+    // Workers drain what is queued, then see the closed queue and
+    // exit; closing also releases a producer blocked on a full queue
+    // (no new submissions may race destruction).
+    queue_.close();
     for (auto &w : workers_)
-        w->queue.close();
-    workCv_.notify_all();
-    for (auto &w : workers_) {
-        if (w->thread.joinable())
-            w->thread.join();
-    }
-}
-
-bool
-EnginePool::anyQueued() const
-{
-    for (const auto &w : workers_) {
-        if (!w->queue.empty())
-            return true;
-    }
-    return false;
-}
-
-void
-EnginePool::notifyWork(size_t items)
-{
-    // Taking the mutex (even empty) orders this wakeup against a
-    // worker that just scanned the queues empty and is about to wait:
-    // either it sees the new item during its predicate check, or it
-    // is already waiting and receives the notify.
-    { std::lock_guard<std::mutex> lock(workMutex_); }
-    // With stealing, any worker can serve any queue, so one new trace
-    // needs exactly one wakeup; waking the whole pool per submit is a
-    // thundering herd on the producer's critical path. Without
-    // stealing only the owning worker's predicate passes, so everyone
-    // must be woken to guarantee the owner is.
-    if (stealing_ && items == 1)
-        workCv_.notify_one();
-    else
-        workCv_.notify_all();
-}
-
-size_t
-EnginePool::stealFrom(const Worker &thief, std::vector<Trace> &out)
-{
-    Worker *victim = nullptr;
-    size_t deepest = 0;
-    for (const auto &w : workers_) {
-        if (w.get() == &thief)
-            continue;
-        const size_t depth = w->queue.size();
-        if (depth > deepest) {
-            deepest = depth;
-            victim = w.get();
-        }
-    }
-    if (!victim)
-        return 0;
-    return victim->queue.tryPopHalf(out);
-}
-
-void
-EnginePool::workerLoop(Worker &worker)
-{
-    // Reused steal buffer: one victim scan grabs up to half the
-    // deepest peer queue instead of a single trace per scan.
-    std::vector<Trace> stolen;
-    for (;;) {
-        std::optional<Trace> trace = worker.queue.tryPop();
-        if (!trace && stealing_) {
-            stolen.clear();
-            obs::SpanScope scan_span(obs::Stage::StealScan);
-            if (const size_t got = stealFrom(worker, stolen)) {
-                worker.steals.fetch_add(got,
-                                        std::memory_order_relaxed);
-                worker.stealScans.fetch_add(
-                    1, std::memory_order_relaxed);
-                obs::count(obs::Counter::StealScans);
-                obs::count(obs::Counter::TracesStolen, got);
-                // The first stolen trace runs now; the rest requeue
-                // on the thief, where they stay stealable by other
-                // idle workers.
-                trace = std::move(stolen.front());
-                size_t requeued = 0;
-                for (size_t i = 1; i < stolen.size(); i++) {
-                    if (worker.queue.tryPush(stolen[i])) {
-                        requeued++;
-                        continue;
-                    }
-                    // Own queue full (tiny capacity): check directly
-                    // rather than blocking a worker on a push.
-                    checkOn(worker, std::move(stolen[i]));
-                }
-                if (requeued)
-                    notifyWork(requeued);
-            }
-        }
-        if (trace) {
-            checkOn(worker, std::move(*trace));
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(workMutex_);
-        workCv_.wait(lock, [&] {
-            return stopping_ ||
-                   (stealing_ ? anyQueued() : !worker.queue.empty());
-        });
-        if (stopping_ &&
-            (stealing_ ? !anyQueued() : worker.queue.empty())) {
-            return; // all pending work drained
-        }
-    }
+        w->thread.join();
 }
 
 void
 EnginePool::checkOn(Worker &worker, Trace trace)
 {
-    Report report = worker.engine->check(trace);
-    worker.opsProcessed.store(worker.engine->opsProcessed(),
+    Report report = worker.engine.check(trace);
+    worker.opsProcessed.store(worker.engine.opsProcessed(),
                               std::memory_order_relaxed);
-    worker.tracesChecked.store(worker.engine->tracesChecked(),
+    worker.tracesChecked.store(worker.engine.tracesChecked(),
                                std::memory_order_relaxed);
     recordResult(std::move(report));
 }
@@ -285,30 +128,7 @@ EnginePool::submit(Trace trace)
         return;
     }
 
-    const size_t start =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    if (workers_[start]->queue.tryPush(trace)) {
-        notifyWork();
-        return;
-    }
-    // Round-robin target full: try the other queues before stalling.
-    for (size_t i = 1; i < workers_.size(); i++) {
-        Worker &w = *workers_[(start + i) % workers_.size()];
-        if (w.queue.tryPush(trace)) {
-            notifyWork();
-            return;
-        }
-    }
-    // Every queue full: backpressure. Block on the original target
-    // and account the stall (its owner is necessarily awake, so the
-    // push is eventually released by a pop).
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
-    obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    workers_[start]->queue.push(std::move(trace));
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
-    notifyWork();
+    noteStall(queue_.push(std::move(trace)));
 }
 
 void
@@ -331,28 +151,16 @@ EnginePool::submitBatch(std::vector<Trace> traces)
         return;
     }
 
-    const size_t start =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    Worker &target = *workers_[start];
-    const size_t batch_size = traces.size();
-    if (target.queue.tryPushAll(traces)) {
-        notifyWork(batch_size);
+    noteStall(queue_.pushAll(std::move(traces)));
+}
+
+void
+EnginePool::noteStall(uint64_t stall_ns)
+{
+    if (stall_ns == 0)
         return;
-    }
-    // The batch does not fit at once: feed it item by item so the
-    // workers can drain concurrently (each push is individually
-    // released by pops), and account the producer stall.
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
     obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    for (auto &t : traces) {
-        if (!target.queue.tryPush(t))
-            target.queue.push(std::move(t));
-        notifyWork();
-    }
-    traces.clear();
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
+    obs::spanEndingNow(obs::Stage::PoolStall, stall_ns);
 }
 
 void
@@ -395,11 +203,10 @@ PoolStats
 EnginePool::stats() const
 {
     PoolStats stats;
-    stats.queueCapacity = queueCapacity_;
-    stats.workStealing = stealing_;
+    stats.queueCapacity = queue_.capacity();
+    stats.queuedTraces = queue_.size();
     stats.batchesSubmitted = batches_.load(std::memory_order_relaxed);
-    stats.producerStallNanos =
-        stallNanos_.load(std::memory_order_relaxed);
+    stats.producerStallNanos = queue_.producerStallNanos();
     {
         std::lock_guard<std::mutex> lock(resultMutex_);
         stats.tracesSubmitted = submitted_;
@@ -419,12 +226,6 @@ EnginePool::stats() const
             worker->tracesChecked.load(std::memory_order_relaxed);
         w.opsProcessed =
             worker->opsProcessed.load(std::memory_order_relaxed);
-        w.steals = worker->steals.load(std::memory_order_relaxed);
-        w.stealScans =
-            worker->stealScans.load(std::memory_order_relaxed);
-        w.queueDepth = worker->queue.size();
-        stats.steals += w.steals;
-        stats.stealScans += w.stealScans;
         stats.workers.push_back(w);
     }
     return stats;

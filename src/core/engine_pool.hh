@@ -1,32 +1,26 @@
 /**
  * @file
  * The multithreaded checking mechanism (paper §4.4, Fig. 8): traces
- * sealed by the program under test are dispatched to a pool of worker
- * threads, each running its own Engine; results flow back to a shared
- * result collector. PMTest_GET_RESULT() maps to drain(). A
- * zero-worker pool checks traces inline on the caller — the
- * configuration used by the decoupling ablation.
+ * sealed by the program under test go into one FIFO that a team of
+ * worker threads drains, each running its own Engine; results flow
+ * back to a shared result collector. PMTest_GET_RESULT() maps to
+ * drain(). A zero-worker pool checks traces inline on the caller —
+ * the configuration used by the decoupling ablation.
  *
- * Dispatch architecture:
- *  - Each worker owns a FIFO trace queue. Submission places traces
- *    round-robin, but an idle worker *steals* from the most-loaded
- *    peer — half the victim's backlog per scan (one runs immediately,
- *    the rest requeue on the thief and stay stealable), so one giant
- *    trace no longer serializes a whole queue of small traces behind
- *    it and deep backlogs rebalance in O(log) scans instead of one
- *    scan per trace.
- *  - Queues are bounded: explicitly (PoolOptions::queueCapacity), via
- *    the PMTEST_QUEUE_CAP environment variable, or by a default
- *    derived from the worker count (a fixed total backlog divided
- *    across queues). A full queue blocks the producer — bounded
- *    backpressure instead of unbounded memory growth when the
- *    program outruns its checkers.
- *  - submitBatch() enqueues many small traces under one queue lock
- *    acquisition, amortizing dispatch overhead (the paper's §4.2
- *    "divide the program into sections for better testing speed").
- *  - stats() snapshots queue depths, steal counts, producer stall
- *    time and per-worker throughput, so the Fig. 10/11 harnesses can
- *    report *why* a configuration is fast.
+ * Dispatch is a single bounded ConcurrentQueue shared by all workers:
+ *  - submit() pushes one trace, submitBatch() pushes many under one
+ *    lock acquisition (the paper's §4.2 "divide the program into
+ *    sections for better testing speed"). Every worker pops the next
+ *    trace whenever it is idle, so one giant trace occupies one
+ *    worker and never holds back the small traces queued behind it.
+ *  - The queue bound (PoolOptions::queueCapacity) caps the total
+ *    number of queued traces. A full queue blocks the producer —
+ *    bounded backpressure instead of unbounded memory growth when
+ *    the program outruns its checkers — and the queue's own stall
+ *    clock becomes PoolStats::producerStallNanos.
+ *  - stats() snapshots the queue depth, producer stall time and
+ *    per-worker throughput, so the Fig. 10/11 harnesses can report
+ *    *why* a configuration is fast.
  */
 
 #ifndef PMTEST_CORE_ENGINE_POOL_HH
@@ -53,23 +47,13 @@ struct PoolOptions
     ModelKind model = ModelKind::X86;
     /** Number of worker threads; 0 = inline checking. */
     size_t workers = 1;
-    /** queueCapacity value requesting an explicitly unbounded queue. */
-    static constexpr size_t kUnboundedQueue = ~size_t{0};
     /**
-     * Per-worker queue capacity in traces. 0 = automatic: the
-     * PMTEST_QUEUE_CAP environment variable if set (a value of 0
-     * there means unbounded), else a default derived from the worker
-     * count — a fixed total backlog divided across the queues, so
-     * adding workers does not grow the in-flight trace count.
-     * kUnboundedQueue requests no bound at all.
+     * Bound on the traces queued for the workers; a full queue blocks
+     * the producer (backpressure). The default caps the backlog a
+     * stalled checker can pin at the same total for any worker
+     * count. 0 = unbounded.
      */
-    size_t queueCapacity = 0;
-    /**
-     * Allow idle workers to steal queued traces from loaded peers.
-     * Disabled reproduces the original pinned round-robin dispatch
-     * (kept for the dispatch ablation).
-     */
-    bool workStealing = true;
+    size_t queueCapacity = 1024;
 };
 
 /** Point-in-time dispatch statistics for one worker. */
@@ -77,10 +61,6 @@ struct WorkerStats
 {
     uint64_t tracesChecked = 0; ///< traces this worker completed
     uint64_t opsProcessed = 0;  ///< PM ops this worker processed
-    uint64_t steals = 0;        ///< traces this worker stole from peers
-    uint64_t stealScans = 0;    ///< successful steal sweeps (each
-                                ///< grabs up to half a victim queue)
-    size_t queueDepth = 0;      ///< traces currently queued to it
 };
 
 /**
@@ -100,7 +80,7 @@ struct IngestStats
     uint64_t tracesDecoded = 0;
     uint64_t decodeNanos = 0; ///< summed decode time across decoders
     uint64_t stallNanos = 0;  ///< summed time decoders were blocked
-                              ///< submitting into full pool queues
+                              ///< submitting into the full pool queue
 };
 
 /** Point-in-time snapshot of the pool's dispatch behaviour. */
@@ -111,15 +91,16 @@ struct PoolStats
     uint64_t tracesSubmitted = 0;   ///< traces accepted by submit*()
     uint64_t tracesCompleted = 0;   ///< traces fully checked
     uint64_t batchesSubmitted = 0;  ///< submitBatch() calls
-    uint64_t steals = 0;            ///< total stolen traces
-    uint64_t stealScans = 0;        ///< total successful steal sweeps
+    /**
+     * Traces moved between workers. Always 0: every worker pops from
+     * the one shared queue, so no trace is ever stolen. Kept because
+     * the perfbench per-layer metrics still read it.
+     */
+    uint64_t steals = 0;
     uint64_t producerStallNanos = 0;///< time producers blocked on
-                                    ///< full queues (backpressure)
-    size_t queueCapacity = 0;       ///< per-worker bound (0 = none)
-    bool workStealing = true;       ///< stealing enabled
-
-    /** Sum of current queue depths. */
-    size_t queuedTraces() const;
+                                    ///< the full queue (backpressure)
+    size_t queueCapacity = 0;       ///< queued-trace bound (0 = none)
+    size_t queuedTraces = 0;        ///< traces waiting for a worker
 
     /** Multi-line human-readable rendering. */
     std::string str() const;
@@ -132,8 +113,7 @@ class EnginePool
     explicit EnginePool(const PoolOptions &options);
 
     /**
-     * Convenience constructor kept source-compatible with the
-     * original round-robin pool.
+     * Convenience constructor with the default queue bound.
      * @param kind persistency model all engines use
      * @param workers number of worker threads; 0 = inline checking
      */
@@ -146,16 +126,15 @@ class EnginePool
     EnginePool &operator=(const EnginePool &) = delete;
 
     /**
-     * Submit one trace for checking (PMTest_SEND_TRACE). Blocks when
-     * the target queue is full (bounded mode); checks inline when the
-     * pool has no workers.
+     * Submit one trace for checking (PMTest_SEND_TRACE). Blocks while
+     * the queue is full; checks inline when the pool has no workers.
      */
     void submit(Trace trace);
 
     /**
      * Submit a batch of traces as one dispatch unit: one queue lock
-     * acquisition, one worker wakeup. The traces remain individually
-     * stealable once queued.
+     * acquisition while the batch fits. Once queued, the traces are
+     * taken one at a time by whichever workers are idle.
      */
     void submitBatch(std::vector<Trace> traces);
 
@@ -190,8 +169,8 @@ class EnginePool
     /** Number of worker threads (0 = inline mode). */
     size_t workerCount() const { return workers_.size(); }
 
-    /** Per-worker queue capacity (0 = unbounded). */
-    size_t queueCapacity() const { return queueCapacity_; }
+    /** Queued-trace bound (0 = unbounded). */
+    size_t queueCapacity() const { return queue_.capacity(); }
 
     /** Total traces checked so far. */
     uint64_t tracesChecked() const;
@@ -202,46 +181,27 @@ class EnginePool
   private:
     struct Worker
     {
-        explicit Worker(size_t queue_capacity) : queue(queue_capacity) {}
+        explicit Worker(ModelKind kind) : engine(kind) {}
 
-        std::unique_ptr<Engine> engine;
-        ConcurrentQueue<Trace> queue;
+        Engine engine;
         std::thread thread;
         std::atomic<uint64_t> opsProcessed{0};
         std::atomic<uint64_t> tracesChecked{0};
-        std::atomic<uint64_t> steals{0};
-        std::atomic<uint64_t> stealScans{0};
     };
 
-    void workerLoop(Worker &worker);
-    /**
-     * Steal up to half the most-loaded peer's queue into @p out.
-     * @return the number of traces stolen (0 when no peer has work).
-     */
-    size_t stealFrom(const Worker &thief, std::vector<Trace> &out);
     /** Process one trace on @p worker and record its report. */
     void checkOn(Worker &worker, Trace trace);
     void recordResult(Report report);
-    /** Wake workers after @p items new traces were queued. */
-    void notifyWork(size_t items = 1);
-    /** True when any queue holds work (racy; wakeup predicate). */
-    bool anyQueued() const;
+    /** Account a submit that blocked @p stall_ns on the full queue. */
+    void noteStall(uint64_t stall_ns);
     void checkInline(Trace trace);
 
-    ModelKind kind_;
-    size_t queueCapacity_ = 0;
-    bool stealing_ = true;
+    ConcurrentQueue<Trace> queue_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::unique_ptr<Engine> inlineEngine_; ///< used when workers_ empty
-    std::atomic<size_t> nextWorker_{0};    ///< round-robin cursor
     mutable std::mutex inlineMutex_;       ///< guards inline engine
 
-    std::mutex workMutex_; ///< wakeup coordination for idle workers
-    std::condition_variable workCv_;
-    bool stopping_ = false; ///< guarded by workMutex_
-
     std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> stallNanos_{0};
 
     mutable std::mutex resultMutex_;
     std::condition_variable drainCv_;

@@ -49,9 +49,7 @@ samplePoolGauges(const EnginePool &pool)
     g.valid = true;
     g.tracesSubmitted = stats.tracesSubmitted;
     g.tracesCompleted = stats.tracesCompleted;
-    g.queueDepths.reserve(stats.workers.size());
-    for (const auto &w : stats.workers)
-        g.queueDepths.push_back(w.queueDepth);
+    g.queuedTraces = stats.queuedTraces;
     return g;
 }
 

@@ -27,13 +27,10 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
     w.member("traces_submitted", stats.tracesSubmitted);
     w.member("traces_completed", stats.tracesCompleted);
     w.member("batches", stats.batchesSubmitted);
-    w.member("steals", stats.steals);
-    w.member("steal_scans", stats.stealScans);
     w.member("producer_stall_ms",
              static_cast<double>(stats.producerStallNanos) * 1e-6, 3);
     w.member("queue_capacity", stats.queueCapacity);
-    w.member("work_stealing", stats.workStealing);
-    w.member("queued_traces", stats.queuedTraces());
+    w.member("queued_traces", stats.queuedTraces);
     if (stats.ingest.active) {
         w.key("ingest");
         writeIngestStatsJson(w, stats.ingest);
@@ -43,9 +40,6 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
         w.beginObject();
         w.member("traces", worker.tracesChecked);
         w.member("ops", worker.opsProcessed);
-        w.member("steals", worker.steals);
-        w.member("steal_scans", worker.stealScans);
-        w.member("queue_depth", worker.queueDepth);
         w.endObject();
     }
     w.endArray();

@@ -87,15 +87,6 @@ sampleHeapBytes()
 } // namespace
 
 uint64_t
-PoolGauges::queuedTraces() const
-{
-    uint64_t sum = 0;
-    for (uint64_t d : queueDepths)
-        sum += d;
-    return sum;
-}
-
-uint64_t
 IngestGauges::tracesTotal() const
 {
     uint64_t sum = 0;
@@ -336,7 +327,7 @@ MetricsPublisher::runWatchdog(const GaugeSample &sample)
                 w.member("stale_ms",
                          staleTicks_ * options_.intervalMs);
                 w.member("in_flight", sample.pool.inFlight());
-                w.member("queued", sample.pool.queuedTraces());
+                w.member("queued", sample.pool.queuedTraces);
                 w.member("sources_drained",
                          static_cast<uint64_t>(
                              sample.ingest.drainedSources()));
@@ -386,7 +377,7 @@ MetricsPublisher::paintProgress(const GaugeSample &sample) const
     if (sample.pool.valid) {
         line += " | in-flight " + std::to_string(sample.pool.inFlight());
         line += " | queued " +
-                std::to_string(sample.pool.queuedTraces());
+                std::to_string(sample.pool.queuedTraces);
     }
     char buf[64];
     std::snprintf(buf, sizeof(buf), " | %.0f tr/s",
@@ -464,16 +455,11 @@ MetricsPublisher::renderPrometheus() const
         promLine(out, "pmtest_pool_inflight_traces",
                  sample.pool.inFlight());
         promLine(out, "pmtest_pool_queued_traces",
-                 sample.pool.queuedTraces());
+                 sample.pool.queuedTraces);
         promLine(out, "pmtest_pool_traces_submitted",
                  sample.pool.tracesSubmitted);
         promLine(out, "pmtest_pool_traces_completed",
                  sample.pool.tracesCompleted);
-        for (size_t i = 0; i < sample.pool.queueDepths.size(); i++)
-            promLine(out,
-                     "pmtest_worker_queue_depth{worker=\"" +
-                         std::to_string(i) + "\"}",
-                     sample.pool.queueDepths[i]);
     }
 
     if (sample.ingest.valid) {
@@ -531,13 +517,9 @@ MetricsPublisher::renderJson() const
     w.key("pool").beginObject();
     w.member("valid", sample.pool.valid);
     w.member("in_flight", sample.pool.inFlight());
-    w.member("queued", sample.pool.queuedTraces());
+    w.member("queued", sample.pool.queuedTraces);
     w.member("traces_submitted", sample.pool.tracesSubmitted);
     w.member("traces_completed", sample.pool.tracesCompleted);
-    w.key("queue_depths").beginArray();
-    for (uint64_t d : sample.pool.queueDepths)
-        w.value(d);
-    w.endArray();
     w.endObject();
 
     w.key("ingest").beginObject();

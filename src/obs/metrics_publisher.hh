@@ -66,7 +66,7 @@ struct SourceGauge
 struct PoolGauges
 {
     bool valid = false; ///< a pool sampler is attached and sampled
-    std::vector<uint64_t> queueDepths; ///< one per worker
+    uint64_t queuedTraces = 0; ///< traces waiting in the pool queue
     uint64_t tracesSubmitted = 0;
     uint64_t tracesCompleted = 0;
 
@@ -78,9 +78,6 @@ struct PoolGauges
                    ? tracesSubmitted - tracesCompleted
                    : 0;
     }
-
-    /** Sum of per-worker queue depths. */
-    uint64_t queuedTraces() const;
 };
 
 /** Live ingest-side gauges sampled from the TraceSource tree. */

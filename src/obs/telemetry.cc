@@ -18,8 +18,6 @@ stageName(Stage stage)
         return "pool.submit";
       case Stage::PoolStall:
         return "pool.stall";
-      case Stage::StealScan:
-        return "pool.steal_scan";
       case Stage::IngestDecode:
         return "ingest.decode";
       case Stage::IngestSubmit:
@@ -54,10 +52,6 @@ counterName(Counter counter)
         return "batches_submitted";
       case Counter::SubmitStalls:
         return "submit_stalls";
-      case Counter::StealScans:
-        return "steal_scans";
-      case Counter::TracesStolen:
-        return "traces_stolen";
       case Counter::ChunksDecoded:
         return "chunks_decoded";
       case Counter::TracesDecoded:

@@ -14,12 +14,12 @@
  *    no allocation and no locks. Per-thread histograms merge into one
  *    snapshot from which p50/p95/p99 are interpolated.
  *  - **Spans** (Chrome trace-event / Perfetto): every pipeline stage
- *    (capture seal, pool submit, backpressure stall, steal scan,
- *    ingest decode, engine check, report merge/canonicalize) brackets
- *    itself with a SpanScope. Span *durations* always feed the stage
- *    histogram; the timeline *events* are only collected when
- *    explicitly enabled (`Telemetry::enableSpans`), optionally
- *    sampled 1-in-N, and export as a JSON file that loads directly in
+ *    (capture seal, pool submit, backpressure stall, ingest decode,
+ *    engine check, report merge/canonicalize) brackets itself with a
+ *    SpanScope. Span *durations* always feed the stage histogram;
+ *    the timeline *events* are only collected when explicitly
+ *    enabled (`Telemetry::enableSpans`), optionally sampled 1-in-N,
+ *    and export as a JSON file that loads directly in
  *    chrome://tracing or https://ui.perfetto.dev.
  *
  * Compile-out: building with -DPMTEST_TELEMETRY_ENABLED=0 (CMake
@@ -71,8 +71,7 @@ enum class Stage : uint8_t
 {
     CaptureSeal,       ///< TraceCapture::seal — buffer → immutable Trace
     PoolSubmit,        ///< EnginePool::submitBatch enqueue
-    PoolStall,         ///< producer blocked on full queues (backpressure)
-    StealScan,         ///< idle worker scanning peers for work to steal
+    PoolStall,         ///< producer blocked on the full queue (backpressure)
     IngestDecode,      ///< decoder team: one claimed chunk of traces
     IngestSubmit,      ///< decoder flushing a batch into the pool
     EngineCheck,       ///< Engine::check — one trace through the kernel
@@ -83,7 +82,7 @@ enum class Stage : uint8_t
     OracleEnumerate    ///< crash-state oracle: one crash point explored
 };
 
-inline constexpr size_t kStageCount = 12;
+inline constexpr size_t kStageCount = 11;
 
 /** Stable span/metric name of @p stage (e.g. "engine.check"). */
 const char *stageName(Stage stage);
@@ -96,8 +95,6 @@ enum class Counter : uint8_t
     TracesSubmitted, ///< traces accepted by EnginePool::submit*
     BatchesSubmitted,///< submitBatch calls
     SubmitStalls,    ///< producer-side backpressure stalls
-    StealScans,      ///< successful steal sweeps
-    TracesStolen,    ///< traces moved by stealing
     ChunksDecoded,   ///< ingest decoder chunk claims
     TracesDecoded,   ///< traces decoded from a file
     TracesChecked,   ///< traces through Engine::check
@@ -115,7 +112,7 @@ enum class Counter : uint8_t
     WorkersFailed       ///< workers that exited abnormally (status > 1)
 };
 
-inline constexpr size_t kCounterCount = 22;
+inline constexpr size_t kCounterCount = 20;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);
@@ -409,6 +406,17 @@ count(Counter c, uint64_t n = 1)
     Telemetry::instance().addCount(c, n);
 }
 
+/**
+ * Record a @p stage span that lasted @p dur_ns and ends now, for a
+ * wait timed by the code that performed it (e.g. a queue's stall).
+ */
+inline void
+spanEndingNow(Stage stage, uint64_t dur_ns)
+{
+    const uint64_t now = monotonicNanos();
+    Telemetry::instance().recordSpan(stage, now - dur_ns, dur_ns);
+}
+
 /** Label the calling thread in exported timelines. */
 inline void
 nameThread(std::string name)
@@ -428,6 +436,11 @@ class SpanScope
 
 inline void
 count(Counter, uint64_t = 1)
+{
+}
+
+inline void
+spanEndingNow(Stage, uint64_t)
 {
 }
 

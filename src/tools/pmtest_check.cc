@@ -80,8 +80,6 @@ main(int argc, char **argv)
                 "findings listed before truncating (default 50)");
     cli.addSize("--workers", &plan.workers,
                 "engine pool workers (0 = inline checking)");
-    cli.addSize("--queue-cap", &plan.queueCap,
-                "per-worker queue bound (0 = default)");
     cli.addSize("--batch", &plan.batch,
                 "traces submitted to the pool at a time", 1);
     cli.addChoice("--ingest", &ingest,

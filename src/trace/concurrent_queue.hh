@@ -7,9 +7,8 @@
  * The queue supports an optional capacity bound. A bounded queue
  * exerts backpressure: push() blocks the producer while the queue is
  * full, so a program that outruns its checkers stalls instead of
- * growing memory without limit. tryPush() is the non-blocking probe
- * used by dispatchers that want to account stall time or fall back to
- * another queue.
+ * growing memory without limit. The queue times those stalls itself
+ * and push()/pushAll() return how long the caller waited.
  *
  * A bounded queue may additionally set a *wake mark* below its
  * capacity: a producer that blocked on a full queue is only resumed
@@ -65,16 +64,19 @@ class ConcurrentQueue
     /**
      * Push one item and wake one waiting consumer. On a bounded
      * queue, blocks while full (backpressure) unless closed.
+     * @return nanoseconds spent blocked (0 when there was room).
      */
-    void
+    uint64_t
     push(T item)
     {
+        uint64_t stalled = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            waitNotFull(lock);
+            stalled = waitNotFull(lock);
             items_.push_back(std::move(item));
         }
         cv_.notify_one();
+        return stalled;
     }
 
     /**
@@ -98,63 +100,33 @@ class ConcurrentQueue
     }
 
     /**
-     * Non-blocking push. @return false when a bounded queue is full
-     * (the item is left untouched in that case).
-     */
-    bool
-    tryPush(T &item)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (fullLocked())
-                return false;
-            items_.push_back(std::move(item));
-        }
-        cv_.notify_one();
-        return true;
-    }
-
-    /**
      * Push a batch of items under one lock acquisition (amortizes
      * locking for producers that submit many small traces). On a
      * bounded queue the batch is enqueued in chunks, waiting for
      * space between chunks; items keep their order.
+     * @return nanoseconds spent blocked, summed over the chunks.
      */
-    void
+    uint64_t
     pushAll(std::vector<T> items)
     {
+        uint64_t stalled = 0;
         size_t next = 0;
         while (next < items.size()) {
+            const size_t first = next;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
-                waitNotFull(lock);
+                stalled += waitNotFull(lock);
                 do {
                     items_.push_back(std::move(items[next++]));
                 } while (next < items.size() && !fullLocked());
             }
-            cv_.notify_all();
+            // One new item needs one consumer; more may need them all.
+            if (next - first == 1)
+                cv_.notify_one();
+            else
+                cv_.notify_all();
         }
-    }
-
-    /**
-     * Non-blocking batch push: succeeds only when the whole batch
-     * fits (or the queue is unbounded/closed).
-     */
-    bool
-    tryPushAll(std::vector<T> &items)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (capacity_ != 0 && !closed_ &&
-                items_.size() + items.size() > capacity_) {
-                return false;
-            }
-            for (auto &item : items)
-                items_.push_back(std::move(item));
-        }
-        items.clear();
-        cv_.notify_all();
-        return true;
+        return stalled;
     }
 
     /**
@@ -181,52 +153,6 @@ class ConcurrentQueue
     }
 
     /**
-     * Non-blocking bulk pop of the front half: removes
-     * ceil(size / 2) items (at least one when non-empty) and appends
-     * them to @p out in FIFO order. One lock acquisition regardless
-     * of how many items move — this is the work-stealing primitive:
-     * a thief drains half the victim's backlog per scan instead of
-     * re-scanning per trace.
-     * @return the number of items appended.
-     */
-    size_t
-    tryPopHalf(std::vector<T> &out)
-    {
-        size_t popped = 0;
-        size_t depth = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const size_t take = (items_.size() + 1) / 2;
-            for (; popped < take; popped++) {
-                out.push_back(std::move(items_.front()));
-                items_.pop_front();
-            }
-            depth = items_.size();
-        }
-        if (popped)
-            notifyProducers(depth, /*all=*/true);
-        return popped;
-    }
-
-    /** Non-blocking pop. */
-    std::optional<T>
-    tryPop()
-    {
-        std::optional<T> item;
-        size_t depth = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (items_.empty())
-                return std::nullopt;
-            item = std::move(items_.front());
-            items_.pop_front();
-            depth = items_.size();
-        }
-        notifyProducers(depth);
-        return item;
-    }
-
-    /**
      * Close the queue: consumers drain and then see std::nullopt;
      * producers blocked on a full queue are released.
      */
@@ -239,14 +165,6 @@ class ConcurrentQueue
         }
         cv_.notify_all();
         notFullCv_.notify_all();
-    }
-
-    /** Reopen a closed queue (used when a framework is re-initialized). */
-    void
-    reopen()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = false;
     }
 
     /** Capacity bound (0 = unbounded). */
@@ -279,9 +197,6 @@ class ConcurrentQueue
         return items_.size();
     }
 
-    /** True when empty (racy; for stats only). */
-    bool empty() const { return size() == 0; }
-
   private:
     /**
      * Whether a push must wait. A closed queue never blocks
@@ -303,18 +218,21 @@ class ConcurrentQueue
     /**
      * Block (accounting the stall) until a blocked producer may
      * proceed: below the wake level, or the queue closed.
+     * @return nanoseconds blocked (0 when there was room).
      */
-    void
+    uint64_t
     waitNotFull(std::unique_lock<std::mutex> &lock)
     {
         if (!fullLocked())
-            return;
+            return 0;
         producerStalls_++;
         Timer timer;
         notFullCv_.wait(lock, [this] {
             return closed_ || items_.size() < wakeLevel();
         });
-        stallNanos_ += timer.elapsedNs();
+        const uint64_t stalled = timer.elapsedNs();
+        stallNanos_ += stalled;
+        return stalled;
     }
 
     /**
@@ -325,13 +243,11 @@ class ConcurrentQueue
      * slot.
      */
     void
-    notifyProducers(size_t depth, bool all = false)
+    notifyProducers(size_t depth)
     {
         if (wakeMark_ != 0) {
             if (depth < wakeMark_)
                 notFullCv_.notify_all();
-        } else if (all) {
-            notFullCv_.notify_all();
         } else {
             notFullCv_.notify_one();
         }

@@ -42,7 +42,7 @@ struct RunResult
     uint64_t traces = 0;     ///< traces submitted
     /**
      * Engine-pool dispatch snapshot taken after the drain (PMTest
-     * tools only): steal counts and producer stall time explain
+     * tools only): per-worker counts and producer stall time explain
      * *why* a worker configuration is fast or slow.
      */
     core::PoolStats poolStats;

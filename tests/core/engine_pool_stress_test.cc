@@ -128,36 +128,52 @@ TEST(EnginePoolStressTest, TakeResultsLosesNothingUnderConcurrentSubmit)
     EXPECT_EQ(pool.results().failCount(), 0u); // everything was taken
 }
 
-TEST(EnginePoolStressTest, WorkStealingRescuesSkewedTraceSizes)
+TEST(EnginePoolStressTest, GiantTraceDoesNotHoldBackSmallTraces)
 {
-    // One giant trace pins a worker; without stealing the small
-    // traces round-robined behind it would wait. With stealing every
-    // trace is checked and idle workers record steals.
+    // One giant trace occupies one worker. The small traces queued
+    // behind it must not wait for it: the other worker checks them
+    // while the giant is still running. The giant writes 1M distinct
+    // lines, which takes far longer than submitting and checking
+    // every small trace, so a dispatcher that parks small traces
+    // behind the giant, or serializes checking, fails.
+    constexpr size_t kGiantOps = 1000000;
+    constexpr uint64_t kSmalls = 200;
     EnginePool pool(ModelKind::X86, 2);
 
     Trace giant(0, 0);
-    for (size_t i = 0; i < 50000; i++) {
-        const uint64_t addr = 0x1000 + 64 * (i % 512);
-        giant.append(PmOp::write(addr, 8));
-    }
+    for (size_t i = 0; i < kGiantOps; i++)
+        giant.append(PmOp::write(0x1000 + 64 * i, 8));
+    std::vector<Trace> smalls;
+    for (uint64_t i = 1; i <= kSmalls; i++)
+        smalls.push_back(traceWithFailures(i, 1));
+
     pool.submit(std::move(giant));
-    // Round-robin sends every other small trace to the giant's queue;
-    // the other worker must steal them instead of idling.
-    for (uint64_t i = 1; i <= 200; i++)
-        pool.submit(traceWithFailures(i, 1));
+    for (Trace &t : smalls)
+        pool.submit(std::move(t));
+    // A worker publishes its op count only when a trace is done, so
+    // while the giant runs the pool reports fewer than kGiantOps.
+    while (pool.tracesChecked() < kSmalls)
+        std::this_thread::yield();
+    EXPECT_LT(pool.opsProcessed(), kGiantOps)
+        << "the small traces waited for the giant";
     pool.drain();
 
+    EXPECT_EQ(pool.tracesChecked(), kSmalls + 1);
+    EXPECT_EQ(pool.results().failCount(), kSmalls);
     const PoolStats stats = pool.stats();
-    EXPECT_EQ(pool.tracesChecked(), 201u);
-    EXPECT_EQ(pool.results().failCount(), 200u);
-    EXPECT_GT(stats.steals, 0u);
+    ASSERT_EQ(stats.workers.size(), 2u);
+    const bool first_had_giant =
+        stats.workers[0].opsProcessed >= kGiantOps;
+    const WorkerStats &other = stats.workers[first_had_giant ? 1 : 0];
+    EXPECT_LT(other.opsProcessed, kGiantOps);
+    EXPECT_GE(other.tracesChecked, kSmalls * 9 / 10);
 }
 
 TEST(EnginePoolStressTest, BoundedQueueExertsBackpressure)
 {
-    // With capacity 4 per worker, the producer can never observe more
-    // than workers * capacity queued traces: a fast producer stalls
-    // instead of growing the queues without limit.
+    // With capacity 4, the producer can never observe more than 4
+    // queued traces: a fast producer stalls instead of growing the
+    // queue without limit.
     PoolOptions options;
     options.workers = 2;
     options.queueCapacity = 4;
@@ -167,11 +183,11 @@ TEST(EnginePoolStressTest, BoundedQueueExertsBackpressure)
     for (uint64_t i = 0; i < 500; i++) {
         pool.submit(traceWithFailures(i, 2));
         max_queued =
-            std::max(max_queued, pool.stats().queuedTraces());
+            std::max(max_queued, pool.stats().queuedTraces);
     }
     pool.drain();
 
-    EXPECT_LE(max_queued, 2u * 4u);
+    EXPECT_LE(max_queued, options.queueCapacity);
     EXPECT_EQ(pool.results().failCount(), 1000u);
 }
 

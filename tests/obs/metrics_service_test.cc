@@ -60,7 +60,7 @@ struct FakeGauges
         g.valid = true;
         g.tracesSubmitted = submitted.load();
         g.tracesCompleted = completed.load();
-        g.queueDepths = {g.tracesSubmitted - g.tracesCompleted, 0};
+        g.queuedTraces = g.tracesSubmitted - g.tracesCompleted;
         return g;
     }
 
@@ -189,8 +189,6 @@ TEST(MetricsPublisherTest, PrometheusExpositionIsStrictlyParsable)
           "# TYPE pmtest_traces_checked_total counter",
           "pmtest_pool_inflight_traces 6",
           "pmtest_pool_queued_traces 6",
-          "pmtest_worker_queue_depth{worker=\"0\"} 6",
-          "pmtest_worker_queue_depth{worker=\"1\"} 0",
           "pmtest_ingest_traces_consumed 42",
           "pmtest_ingest_traces_total 100",
           "pmtest_source_traces_consumed{source=\"fake.trace\"} 42",
@@ -198,6 +196,8 @@ TEST(MetricsPublisherTest, PrometheusExpositionIsStrictlyParsable)
           "pmtest_traces_checked_per_second "})
         EXPECT_NE(text.find(needle), std::string::npos)
             << "missing: " << needle;
+    // One shared queue: no per-worker depth series.
+    EXPECT_EQ(text.find("pmtest_worker_queue_depth"), std::string::npos);
 }
 
 TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV1Schema)
@@ -228,8 +228,9 @@ TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV1Schema)
     const Json *pool = gauges->find("pool");
     ASSERT_NE(pool, nullptr);
     EXPECT_EQ(pool->find("in_flight")->number, 0.0);
-    ASSERT_NE(pool->find("queue_depths"), nullptr);
-    EXPECT_EQ(pool->find("queue_depths")->items.size(), 2u);
+    ASSERT_NE(pool->find("queued"), nullptr);
+    EXPECT_EQ(pool->find("queued")->number, 0.0);
+    EXPECT_EQ(pool->find("queue_depths"), nullptr);
 
     const Json *ingest = gauges->find("ingest");
     ASSERT_NE(ingest, nullptr);

@@ -374,8 +374,8 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
     Json doc;
     ASSERT_TRUE(JsonParser(w.str()).parse(&doc));
 
-    // Stall and steal stages only fire under backpressure/imbalance,
-    // so assert the seven deterministic stages of this pipeline.
+    // The stall stage only fires under backpressure, so assert the
+    // seven deterministic stages of this pipeline.
     for (const Stage stage :
          {Stage::CaptureSeal, Stage::PoolSubmit, Stage::IngestDecode,
           Stage::IngestSubmit, Stage::EngineCheck, Stage::ReportMerge,

@@ -26,9 +26,11 @@ TEST(ConcurrentQueueTest, FifoOrder)
 TEST(ConcurrentQueueTest, TryPopEmpty)
 {
     ConcurrentQueue<int> q;
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_EQ(q.size(), 0u);
     q.push(5);
-    EXPECT_EQ(q.tryPop().value(), 5);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.pop().value(), 5);
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(ConcurrentQueueTest, CloseDrainsThenReturnsNullopt)
@@ -69,41 +71,7 @@ TEST(ConcurrentQueueTest, MultiProducerAllItemsArrive)
         EXPECT_FALSE(seen[*v]);
         seen[*v] = true;
     }
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(ConcurrentQueueTest, ReopenAfterClose)
-{
-    ConcurrentQueue<int> q;
-    q.close();
-    EXPECT_FALSE(q.pop().has_value());
-    q.reopen();
-    q.push(7);
-    EXPECT_EQ(q.pop().value(), 7);
-}
-
-TEST(ConcurrentQueueTest, TryPushRespectsCapacity)
-{
-    ConcurrentQueue<int> q(/*capacity=*/2);
-    EXPECT_EQ(q.capacity(), 2u);
-    int a = 1, b = 2, c = 3;
-    EXPECT_TRUE(q.tryPush(a));
-    EXPECT_TRUE(q.tryPush(b));
-    EXPECT_FALSE(q.tryPush(c));
-    EXPECT_EQ(c, 3); // rejected item untouched
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_TRUE(q.tryPush(c));
-    EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(ConcurrentQueueTest, UnboundedTryPushAlwaysSucceeds)
-{
-    ConcurrentQueue<int> q;
-    for (int i = 0; i < 1000; i++) {
-        int v = i;
-        EXPECT_TRUE(q.tryPush(v));
-    }
-    EXPECT_EQ(q.size(), 1000u);
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(ConcurrentQueueTest, PushBlocksWhileFullUntilPop)
@@ -155,22 +123,7 @@ TEST(ConcurrentQueueTest, PushAllKeepsOrderAcrossCapacityChunks)
     for (int i = 0; i < 20; i++)
         EXPECT_EQ(q.pop().value(), i);
     producer.join();
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(ConcurrentQueueTest, TryPushAllIsAllOrNothing)
-{
-    ConcurrentQueue<int> q(/*capacity=*/3);
-    std::vector<int> batch = {1, 2, 3, 4};
-    EXPECT_FALSE(q.tryPushAll(batch));
-    EXPECT_EQ(batch.size(), 4u); // rejected batch untouched
-    EXPECT_TRUE(q.empty());
-
-    batch.pop_back();
-    EXPECT_TRUE(q.tryPushAll(batch));
-    EXPECT_TRUE(batch.empty());
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(ConcurrentQueueTest, ProducerStallsAreCounted)
@@ -179,16 +132,19 @@ TEST(ConcurrentQueueTest, ProducerStallsAreCounted)
     q.push(1);
     EXPECT_EQ(q.producerStalls(), 0u);
 
-    std::thread producer([&] { q.push(2); });
+    uint64_t waited = 0;
+    std::thread producer([&] { waited = q.push(2); });
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_EQ(q.pop().value(), 1);
     producer.join();
 
     EXPECT_EQ(q.producerStalls(), 1u);
     EXPECT_GT(q.producerStallNanos(), 0u);
+    // push() reports the stall it was charged.
+    EXPECT_EQ(waited, q.producerStallNanos());
     // A push with room to spare does not count as a stall.
     q.pop();
-    q.push(3);
+    EXPECT_EQ(q.push(3), 0u);
     EXPECT_EQ(q.producerStalls(), 1u);
 }
 

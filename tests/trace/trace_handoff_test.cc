@@ -96,24 +96,6 @@ TEST(TraceHandoffTest, BatchTransportPreservesEveryBuffer)
     }
 }
 
-TEST(TraceHandoffTest, StealPathPreservesTheBuffer)
-{
-    // tryPopHalf is the work-stealing hand-off; stolen traces must
-    // move out of the victim queue, not copy.
-    ConcurrentQueue<Trace> queue;
-    std::vector<const PmOp *> data;
-    for (uint64_t i = 0; i < 6; i++) {
-        Trace t = makeTrace(i, 30);
-        data.push_back(t.ops().data());
-        queue.push(std::move(t));
-    }
-
-    std::vector<Trace> stolen;
-    ASSERT_EQ(queue.tryPopHalf(stolen), 3u);
-    for (size_t i = 0; i < stolen.size(); i++)
-        EXPECT_EQ(stolen[i].ops().data(), data[i]) << "stolen " << i;
-}
-
 TEST(TraceHandoffTest, AppendGrowsInChunksFromInitialCapacity)
 {
     Trace t;
