@@ -1,8 +1,10 @@
 /**
  * @file
  * Offline ingest harness: load→verdict wall time and peak-RSS growth
- * of the v2 mmap-parallel ingest pipeline against the sequential v1
- * stream loader, on two file shapes:
+ * of the mmap-parallel ingest pipeline (decoder team feeding the
+ * engine pool) against a serial check of the same file (the reader
+ * decodes trace by trace into one inline engine), on two file
+ * shapes:
  *
  *  - table1_small: many small traces (the Table 1 micro-benchmark
  *    shape) — dispatch-bound, where parallel decode overlapping the
@@ -14,21 +16,20 @@
  * Phases per shape (in this order, because ru_maxrss is a monotonic
  * high-water mark — the candidates run first so their growth is not
  * masked by the baseline's):
- *  1. v2 + mmap + 4 decoders + worker pool   (the pipeline)
- *  2. v2 + mmap + 2 decoders + worker pool   (scaling point)
- *  3. v2 + mmap + 1 decoder  + worker pool   (overlap only)
- *  4. v2 + mmap + 4 decoders over 4 shards   (--shards path)
- *  5. v2 split across 3 files + 4 decoders   (multi-file path)
- *  6. the 3 part files, checked serially     (multi-file reference)
- *  7. v1 + stream loader + serial engine     (the baseline)
+ *  1. mmap + 4 decoders + worker pool        (the pipeline)
+ *  2. mmap + 2 decoders + worker pool        (scaling point)
+ *  3. mmap + 1 decoder  + worker pool        (overlap only)
+ *  4. split across 3 files + 4 decoders      (multi-file path)
+ *  5. the 3 part files, checked serially     (multi-file reference)
+ *  6. the whole file, checked serially       (the baseline)
  *
  * Every phase produces a canonicalized Report; verdict_match asserts
  * that each configuration's merged report is byte-identical to its
  * serial reference — the determinism contract of the TraceSource
- * pipeline. Single-file phases are compared with the v1 baseline.
- * The multi-file phase stamps each part's fileId (0-2) into its
- * findings, so it is compared with phase 6, which must in turn find
- * as many failures as the baseline.
+ * pipeline. Single-file phases are compared with the serial
+ * baseline. The multi-file phase stamps each part's fileId (0-2)
+ * into its findings, so it is compared with phase 5, which must in
+ * turn find as many failures as the baseline.
  *
  * Flags:
  *  --smoke        tiny workload; CI uses this to validate the harness
@@ -140,39 +141,22 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     return phase;
 }
 
-/** v2 file → decoder team → engine pool (optionally sharded). */
+/** Trace file → decoder team → engine pool. */
 Phase
-runPipeline(const std::string &path, size_t decoders, size_t workers,
-            size_t shards = 1)
+runPipeline(const std::string &path, size_t decoders, size_t workers)
 {
-    std::string name = "v2_mmap_" + std::to_string(decoders) + "dec";
-    if (shards > 1)
-        name += "_sh" + std::to_string(shards);
     const size_t rss_before = peakRssKb();
     Timer timer;
 
     std::string error;
-    std::unique_ptr<TraceSource> source;
-    if (shards > 1) {
-        std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(path, IngestMode::Mmap, &error);
-        if (!reader) {
-            std::fprintf(stderr, "open %s: %s\n", path.c_str(),
-                         error.c_str());
-            std::exit(1);
-        }
-        source = std::make_unique<MultiTraceSource>(
-            shardTraceSource(std::move(reader), path, 0, shards));
-    } else {
-        source = openTraceSource(path, IngestMode::Mmap, 0, &error);
-        if (!source) {
-            std::fprintf(stderr, "open %s: %s\n", path.c_str(),
-                         error.c_str());
-            std::exit(1);
-        }
+    auto source = openTraceSource(path, IngestMode::Mmap, 0, &error);
+    if (!source) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        std::exit(1);
     }
-    return runSource(std::move(name), std::move(source), decoders,
-                     workers, timer, rss_before);
+    return runSource("v2_mmap_" + std::to_string(decoders) + "dec",
+                     std::move(source), decoders, workers, timer,
+                     rss_before);
 }
 
 /** The same trace set split across several v2 files. */
@@ -193,8 +177,7 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
                                      static_cast<uint32_t>(i),
                                      &error);
         if (!child) {
-            std::fprintf(stderr, "open %s: %s\n", paths[i].c_str(),
-                         error.c_str());
+            std::fprintf(stderr, "%s\n", error.c_str());
             std::exit(1);
         }
         children.push_back(std::move(child));
@@ -206,16 +189,21 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
 }
 
 /**
- * The part files of runMultiFile, each opened under its own fileId
- * and checked trace by trace on one engine: the serial reference
- * for the multi-file phase. It bypasses ingest() and the pool, so a
- * pipeline defect cannot hide in both sides of the comparison.
+ * @p paths, each opened under its own fileId and checked trace by
+ * trace on one engine: the serial reference for the other phases
+ * (one path: the single-file baseline; the part files of
+ * runMultiFile: the multi-file reference). It bypasses ingest() and
+ * the pool, so a pipeline defect cannot hide in both sides of the
+ * comparison.
  */
 Phase
 runSerialParts(const std::vector<std::string> &paths)
 {
     Phase phase;
-    phase.name = "v2_multi" + std::to_string(paths.size()) + "_serial";
+    phase.name = paths.size() == 1
+                     ? "v2_serial"
+                     : "v2_multi" + std::to_string(paths.size()) +
+                           "_serial";
     const size_t rss_before = peakRssKb();
     Timer timer;
 
@@ -226,8 +214,7 @@ runSerialParts(const std::vector<std::string> &paths)
         auto source = openTraceSource(paths[i], IngestMode::Mmap,
                                       static_cast<uint32_t>(i), &error);
         if (!source) {
-            std::fprintf(stderr, "open %s: %s\n", paths[i].c_str(),
-                         error.c_str());
+            std::fprintf(stderr, "%s\n", error.c_str());
             std::exit(1);
         }
         std::vector<Trace> batch;
@@ -245,34 +232,6 @@ runSerialParts(const std::vector<std::string> &paths)
             std::exit(1);
         }
     }
-    merged.canonicalize();
-
-    phase.seconds = timer.elapsedSec();
-    phase.rssGrowthKb = peakRssKb() - rss_before;
-    phase.verdict = merged.str();
-    phase.failCount = merged.failCount();
-    return phase;
-}
-
-/** v1 file → sequential stream loader → one inline engine. */
-Phase
-runSerialBaseline(const std::string &path)
-{
-    Phase phase;
-    phase.name = "v1_stream_serial";
-    const size_t rss_before = peakRssKb();
-    Timer timer;
-
-    bool ok = false;
-    auto bundle = loadTracesFromFile(path, &ok);
-    if (!ok) {
-        std::fprintf(stderr, "cannot load %s\n", path.c_str());
-        std::exit(1);
-    }
-    Engine engine(ModelKind::X86);
-    Report merged;
-    for (const auto &trace : bundle.traces)
-        merged.merge(engine.check(trace));
     merged.canonicalize();
 
     phase.seconds = timer.elapsedSec();
@@ -315,9 +274,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
         "/tmp/pmtest_bench_ingest_" + std::to_string(getpid()) + "_" +
         name;
     const std::string v2_path = base + ".v2.trace";
-    const std::string v1_path = base + ".v1.trace";
-    if (!saveTracesToFile(v2_path, traces, TraceFormat::V2) ||
-        !saveTracesToFile(v1_path, traces, TraceFormat::V1)) {
+    if (!saveTracesToFile(v2_path, traces)) {
         std::fprintf(stderr, "cannot write trace files under /tmp\n");
         std::exit(1);
     }
@@ -336,7 +293,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
             at += take;
             const std::string path =
                 base + ".part" + std::to_string(p) + ".trace";
-            if (!saveTracesToFile(path, part, TraceFormat::V2)) {
+            if (!saveTracesToFile(path, part)) {
                 std::fprintf(stderr,
                              "cannot write trace files under /tmp\n");
                 std::exit(1);
@@ -350,8 +307,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
         auto reader = TraceFileReader::open(v2_path, IngestMode::Mmap,
                                             &error);
         if (!reader) {
-            std::fprintf(stderr, "open %s: %s\n", v2_path.c_str(),
-                         error.c_str());
+            std::fprintf(stderr, "%s\n", error.c_str());
             std::exit(1);
         }
         shape.fileBytesV2 = reader->sizeBytes();
@@ -363,10 +319,9 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(runPipeline(v2_path, 4, workers));
     shape.phases.push_back(runPipeline(v2_path, 2, workers));
     shape.phases.push_back(runPipeline(v2_path, 1, workers));
-    shape.phases.push_back(runPipeline(v2_path, 4, workers, 4));
     Phase multi = runMultiFile(part_paths, 4, workers);
     Phase parts_serial = runSerialParts(part_paths);
-    Phase serial = runSerialBaseline(v1_path);
+    Phase serial = runSerialParts({v2_path});
 
     const auto same = [](const Phase &a, const Phase &b) {
         return a.verdict == b.verdict && a.failCount == b.failCount;
@@ -380,7 +335,6 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(std::move(serial));
 
     std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
     for (const auto &path : part_paths)
         std::remove(path.c_str());
     return shape;
@@ -397,7 +351,7 @@ printShape(const Shape &shape)
                     phase.name.c_str(), phase.seconds,
                     phase.rssGrowthKb, phase.failCount);
     }
-    std::printf("  speedup (v1 serial / v2 mmap 4dec): %.2fx, "
+    std::printf("  speedup (serial / mmap 4dec): %.2fx, "
                 "verdict %s\n",
                 shape.speedup(),
                 shape.verdictMatch ? "identical" : "MISMATCH");
@@ -463,8 +417,8 @@ main(int argc, char **argv)
         obs::Telemetry::instance().enableSpans();
 
     pmtest::bench::banner("Ingest",
-                          "v2 mmap-parallel pipeline vs v1 stream "
-                          "serial, load->verdict");
+                          "mmap-parallel pipeline vs serial "
+                          "check, load->verdict");
 
     const size_t s = pmtest::bench::scale();
     const size_t workers = 4;

@@ -108,69 +108,31 @@ resolveThreads(const CheckPlan &plan, size_t *workers,
 }
 
 /**
- * Build the trace source a plain (non-worker) run checks: one source
- * per input file (fileId = input order), or the byte-balanced shards
- * of a single v2 file. Also the re-open path of the fix-hints replay
- * pass, which needs identical fileId assignment.
- */
-std::unique_ptr<TraceSource>
-buildPlainSource(const CheckPlan &plan, std::string *error)
-{
-    if (plan.shards > 1) {
-        std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(plan.inputs[0], plan.ingestMode,
-                                  error);
-        if (!reader) {
-            if (error->rfind(plan.inputs[0], 0) != 0)
-                *error = plan.inputs[0] + ": " + *error;
-            return nullptr;
-        }
-        return std::make_unique<MultiTraceSource>(shardTraceSource(
-            std::move(reader), plan.inputs[0], 0, plan.shards));
-    }
-    if (plan.inputs.size() == 1)
-        return openTraceSource(plan.inputs[0], plan.ingestMode, 0,
-                               error);
-    std::vector<std::unique_ptr<TraceSource>> children;
-    children.reserve(plan.inputs.size());
-    for (size_t i = 0; i < plan.inputs.size(); i++) {
-        auto child =
-            openTraceSource(plan.inputs[i], plan.ingestMode,
-                            static_cast<uint32_t>(i), error);
-        if (!child)
-            return nullptr;
-        children.push_back(std::move(child));
-    }
-    return std::make_unique<MultiTraceSource>(std::move(children));
-}
-
-/**
- * Build worker workerIndex/workerCount's slice of the input set: for
- * a single input, index slice workerIndex of an N-way
- * shardTraceSource split; for a file set, files j with
- * j % N == workerIndex, keeping fileId = j. Shard slices partition
- * the sequential input exactly, which is what makes the merged
- * distributed report byte-identical. A worker past the end of a
- * short split legitimately has nothing to do: *empty is set and
- * nullptr returned with no error.
+ * Build worker workerIndex/workerCount's slice of the input set (a
+ * plain run is worker 0 of 1): for a single input, index slice
+ * workerIndex of an N-way shardTraceSource split; for a file set,
+ * files j with j % N == workerIndex, keeping fileId = j. Shard slices
+ * partition the sequential input exactly, which is what makes the
+ * merged distributed report byte-identical. Also the re-open path of
+ * the fix-hints replay pass, which needs identical fileId
+ * assignment. A worker past the end of a short split legitimately
+ * has nothing to do: *empty is set and nullptr returned with no
+ * error.
  */
 std::unique_ptr<TraceSource>
 buildWorkerSource(const CheckPlan &plan, bool *empty,
                   std::string *error)
 {
     *empty = false;
+    const uint32_t count = std::max<uint32_t>(plan.workerCount, 1);
     if (plan.inputs.size() == 1) {
         std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(plan.inputs[0], plan.ingestMode,
+            TraceFileReader::open(plan.inputs[0], IngestMode::Auto,
                                   error);
-        if (!reader) {
-            if (error->rfind(plan.inputs[0], 0) != 0)
-                *error = plan.inputs[0] + ": " + *error;
+        if (!reader)
             return nullptr;
-        }
         auto slices = shardTraceSource(std::move(reader),
-                                       plan.inputs[0], 0,
-                                       plan.workerCount);
+                                       plan.inputs[0], 0, count);
         if (plan.workerIndex >= slices.size()) {
             *empty = true;
             return nullptr;
@@ -179,10 +141,9 @@ buildWorkerSource(const CheckPlan &plan, bool *empty,
     }
     std::vector<std::unique_ptr<TraceSource>> children;
     for (size_t j = plan.workerIndex; j < plan.inputs.size();
-         j += plan.workerCount) {
-        auto child =
-            openTraceSource(plan.inputs[j], plan.ingestMode,
-                            static_cast<uint32_t>(j), error);
+         j += count) {
+        auto child = openTraceSource(plan.inputs[j], IngestMode::Auto,
+                                     static_cast<uint32_t>(j), error);
         if (!child)
             return nullptr;
         children.push_back(std::move(child));
@@ -442,14 +403,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
     if (!rejectDuplicates(inputs, &expand_error))
         return input_error(expand_error);
 
-    if (shards > 1 && inputs.size() != 1)
-        return usage_error("--shards needs exactly one input file "
-                           "(got " +
-                           std::to_string(inputs.size()) + ")");
-    if (shards > 1 && ingestMode == IngestMode::Stream)
-        return usage_error("--shards needs an indexed (v2) input; "
-                           "remove --ingest=stream");
-
     if (workerCount > 0 && distribute > 0)
         return usage_error(
             "--worker and --distribute are mutually exclusive");
@@ -463,9 +416,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
     if (workerCount > 0 || distribute > 0) {
         const char *mode =
             workerCount > 0 ? "--worker" : "--distribute";
-        if (shards > 1)
-            return usage_error(std::string(mode) +
-                               " cannot combine with --shards");
         if (fixHints)
             return usage_error(std::string(mode) +
                                " cannot combine with --fix-hints");
@@ -532,9 +482,7 @@ CheckSession::run()
     bool worker_empty = false;
     {
         std::string error;
-        source = worker_mode
-                     ? buildWorkerSource(plan, &worker_empty, &error)
-                     : buildPlainSource(plan, &error);
+        source = buildWorkerSource(plan, &worker_empty, &error);
         if (!source && !worker_empty) {
             std::fprintf(stderr, "%s\n", error.c_str());
             return 2;
@@ -623,7 +571,9 @@ CheckSession::run()
     // it through the same engine, and emit the fixhints document.
     if (plan.fixHints) {
         std::string error;
-        auto replay_source = buildPlainSource(plan, &error);
+        bool replay_empty = false;
+        auto replay_source =
+            buildWorkerSource(plan, &replay_empty, &error);
         if (!replay_source) {
             std::fprintf(stderr, "%s\n", error.c_str());
             return 2;

@@ -11,12 +11,13 @@
  *
  * Three run shapes share the layer:
  *
- *  - **Plain**: everything pmtest_check always did, unchanged.
  *  - **Worker** (`--worker=i/N --report-out=FILE`): run shard i of an
  *    N-way split of the input set — the byte-balanced index slices of
- *    a single v2 file, or files j with j % N == i of a multi-file set
- *    (fileId = j preserved) — and emit a `pmtest-report-v1` wire
+ *    a single trace file, or files j with j % N == i of a multi-file
+ *    set (fileId = j preserved) — and emit a `pmtest-report-v1` wire
  *    report instead of stdout output.
+ *  - **Plain**: worker 0 of 1 — the whole input set, with the report
+ *    on stdout.
  *  - **Coordinator** (`--distribute=N`): fork N worker processes,
  *    gather their wire reports, mergeReports() them, and print
  *    exactly what the sequential run prints — the canonical report is
@@ -43,7 +44,6 @@
 
 #include "core/trace_ingest.hh"
 #include "obs/metrics_service.hh"
-#include "trace/trace_reader.hh"
 
 namespace pmtest::core
 {
@@ -68,8 +68,6 @@ struct CheckPlan
     size_t batch = 1;
     /** 0 = no explicit flag (resolve via env/core layout). */
     size_t decoders = 0;
-    size_t shards = 1;
-    IngestMode ingestMode = IngestMode::Auto;
 
     // Output surfaces.
     std::string metricsJsonPath;

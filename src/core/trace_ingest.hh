@@ -1,19 +1,19 @@
 /**
  * @file
  * The one ingest implementation: a decoder thread team pulls batches
- * of decoded traces from a TraceSource — a whole v2 file, a byte-
- * range shard, a multi-file set, a legacy v1 stream, or the live
- * in-process capture sink — and feeds the engine pool. Decode of
- * trace N+1 overlaps checking of trace N, and the pool's bounded
- * queues backpressure the decoders, so peak memory is the in-flight
- * window — not the whole input, as with the old sequential path.
+ * of decoded traces from a TraceSource — a whole trace file, a byte-
+ * range shard, a multi-file set, or the live in-process capture
+ * sink — and feeds the engine pool. Decode of trace N+1 overlaps
+ * checking of trace N, and the pool's bounded queue backpressures
+ * the decoders, so peak memory is the in-flight window — not the
+ * whole input.
  *
  * Every trace arrives identity-stamped (fileId, traceId) with its
  * string arena attached, so the merged report canonicalizes to the
  * same bytes regardless of how sources, shards and decoder threads
  * interleaved.
  *
- * Used by pmtest_check (--decoders=N, --shards=N, multi-file),
+ * Used by pmtest_check (--decoders=N, --worker=i/N, multi-file),
  * examples/offline_check, bench_ingest, and the determinism tests.
  */
 

@@ -62,7 +62,6 @@ main(int argc, char **argv)
 {
     core::CheckPlan plan;
     int model = static_cast<int>(core::ModelKind::X86);
-    int ingest = static_cast<int>(IngestMode::Auto);
     size_t metrics_port = static_cast<size_t>(-1);
     std::string worker_spec;
 
@@ -82,16 +81,8 @@ main(int argc, char **argv)
                 "engine pool workers (0 = inline checking)");
     cli.addSize("--batch", &plan.batch,
                 "traces submitted to the pool at a time", 1);
-    cli.addChoice("--ingest", &ingest,
-                  {{"auto", static_cast<int>(IngestMode::Auto)},
-                   {"mmap", static_cast<int>(IngestMode::Mmap)},
-                   {"stream", static_cast<int>(IngestMode::Stream)}},
-                  "reader selection (default auto: v2 index when "
-                  "present)");
     cli.addSize("--decoders", &plan.decoders,
                 "decoder threads feeding the pool", 1);
-    cli.addSize("--shards", &plan.shards,
-                "split one v2 input into N index slices", 1);
     cli.addFlag("--stats", &plan.showStats,
                 "print dispatch/ingest counters (wins over --quiet)");
     cli.addString("--metrics-json", &plan.metricsJsonPath,
@@ -128,7 +119,6 @@ main(int argc, char **argv)
     if (status != CliStatus::Ok)
         return util::cliExitCode(status);
     plan.model = static_cast<core::ModelKind>(model);
-    plan.ingestMode = static_cast<IngestMode>(ingest);
     if (metrics_port != static_cast<size_t>(-1))
         plan.metricsPort = static_cast<int32_t>(metrics_port);
     if (!worker_spec.empty() && !parseWorkerSpec(worker_spec, &plan))

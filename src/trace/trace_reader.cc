@@ -8,6 +8,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "obs/telemetry.hh"
+
 namespace pmtest
 {
 
@@ -37,6 +39,7 @@ std::unique_ptr<TraceFileReader>
 TraceFileReader::open(const std::string &path, IngestMode mode,
                       std::string *error)
 {
+    obs::SpanScope span(obs::Stage::SourceOpen);
     std::unique_ptr<TraceFileReader> reader(new TraceFileReader());
 
     if (mode != IngestMode::Stream) {
@@ -86,8 +89,11 @@ TraceFileReader::open(const std::string &path, IngestMode mode,
         reader->size_ = reader->buffer_.size();
     }
 
-    if (!reader->validate(error))
+    if (!reader->validate(error)) {
+        if (error)
+            *error = path + ": " + *error;
         return nullptr;
+    }
     return reader;
 }
 
@@ -113,14 +119,12 @@ TraceFileReader::validate(std::string *error)
         return false;
     }
     const uint32_t version = load<uint32_t>(data_, 8);
-    if (version == static_cast<uint32_t>(TraceFormat::V1)) {
-        setError(error, "v1 trace file: no index footer "
-                        "(use the sequential stream loader)");
-        return false;
-    }
-    if (version != static_cast<uint32_t>(TraceFormat::V2)) {
+    if (version != TraceWire::kVersion) {
         setError(error, "unsupported trace format version " +
-                            std::to_string(version));
+                            std::to_string(version) +
+                            (version == 1 ? " (v1 files have no index; "
+                                            "re-record the trace)"
+                                          : ""));
         return false;
     }
     const uint32_t count = load<uint32_t>(data_, 12);

@@ -1,22 +1,25 @@
 /**
  * @file
- * Indexed, zero-copy access to a v2 trace file (trace_io.hh): the
- * reader maps the file with mmap (or, as a fallback, reads it into
- * one buffer), validates the index footer once — magic, CRC32,
- * exact size accounting, frame chaining — and then decodes *one
- * trace per call* straight from its framed slice.
+ * Indexed, zero-copy access to a trace file (trace_io.hh) — the one
+ * way a trace file is read. The reader maps the file with mmap (or,
+ * as a fallback, reads it into one buffer), validates the index
+ * footer once — magic, version, CRC32, exact size accounting, frame
+ * chaining — and then decodes *one trace per call* straight from its
+ * framed slice.
  *
  * That per-trace decode granularity is what enables pipelined
  * offline checking: a decoder thread team can fan the calls out and
  * feed the engine pool while later traces are still being decoded,
  * so peak memory is the in-flight window rather than the whole file
- * (pmtest_check --ingest=mmap --decoders=N; see core/trace_ingest.hh).
+ * (pmtest_check --decoders=N; see core/trace_ingest.hh).
  *
  * Safety contract: open() fails closed on any structural damage
- * (truncation, corrupt footer, CRC mismatch, frame lengths that do
- * not chain exactly to the index), and decode() never reads outside
- * the mapping — every field access is bounds-checked against the
- * trace's own frame.
+ * (truncation, corrupt header or footer, CRC mismatch, frame lengths
+ * that do not chain exactly to the index) and on any version other
+ * than 2, and decode() never reads outside the mapping — every field
+ * access is bounds-checked against the trace's own frame. Frame
+ * bodies carry no checksum: a flipped body byte is caught only when
+ * it breaks the body's structure or its index cross-check.
  */
 
 #ifndef PMTEST_TRACE_TRACE_READER_HH
@@ -34,7 +37,7 @@
 namespace pmtest
 {
 
-/** How a trace file is brought into memory. */
+/** How TraceFileReader brings a trace file into memory. */
 enum class IngestMode
 {
     Auto,   ///< mmap if possible, else read()
@@ -60,10 +63,9 @@ class TraceFileReader
   public:
     /**
      * Open and validate @p path.
-     * @return the reader, or nullptr (with *error describing why)
-     *         when the file is missing, not a v2 trace file, or
-     *         structurally damaged. v1 files are reported as such so
-     *         callers can fall back to the sequential loadTraces path.
+     * @return the reader, or nullptr (with *error, prefixed by
+     *         @p path, describing why) when the file is missing, not
+     *         a version-2 trace file, or structurally damaged.
      */
     static std::unique_ptr<TraceFileReader>
     open(const std::string &path, IngestMode mode = IngestMode::Auto,

@@ -2,14 +2,14 @@
  * @file
  * TraceSource: the one abstraction every ingest path feeds through.
  *
- * The offline/online checking pipeline used to have three hand-wired
- * entry paths — the v1 sequential stream loader, the v2 mmap reader
- * with its private decoder team, and the in-process capture sink —
- * each with its own arena-lifetime and backpressure plumbing. A
- * TraceSource turns all of them into one shape: a thread-safe
- * provider that yields batches of decoded, identity-stamped traces,
- * so `core::ingest(TraceSource&, EnginePool&, …)` is the *only*
- * decoder-team/backpressure implementation in the repo.
+ * A TraceSource is a thread-safe provider that yields batches of
+ * decoded, identity-stamped traces, whether they come from a trace
+ * file or from the in-process capture sink, so
+ * `core::ingest(TraceSource&, EnginePool&, …)` is the *only*
+ * decoder-team/backpressure implementation in the repo. Every trace
+ * file goes through one path: TraceFileReader (trace_reader.hh) →
+ * V2FileSource; a file the reader rejects is an error, never a
+ * fallback.
  *
  * Identity model: every yielded trace carries a stable
  * (fileId, traceId) pair — fileId assigned per input source in input
@@ -20,19 +20,18 @@
  * produces a byte-identical merged report.
  *
  * Implementations:
- *  - V2FileSource      whole v2 file, or a byte-range shard of one
- *                      ([begin, end) slice of the index footer);
- *                      decode happens on the *pulling* thread, so N
- *                      pullers decode N traces concurrently.
- *  - StreamTraceSource pre-loaded traces from the sequential loader
- *                      (the only reader of legacy v1 files).
+ *  - V2FileSource      whole trace file, or a byte-range shard of one
+ *                      ([begin, end) slice of the index footer; the
+ *                      `--worker=i/N` split); decode happens on the
+ *                      *pulling* thread, so N pullers decode N traces
+ *                      concurrently.
  *  - CaptureTraceSource the in-process capture sink: the program
  *                      under test pushes sealed traces, the ingest
  *                      pulls them — the online path rides the same
  *                      ingest loop as the offline one.
  *  - MultiTraceSource  an ordered set of child sources (multiple
- *                      files, or the shards of one file), drained in
- *                      order with cross-child pull parallelism.
+ *                      files), drained in order with cross-child pull
+ *                      parallelism.
  */
 
 #ifndef PMTEST_TRACE_TRACE_SOURCE_HH
@@ -115,9 +114,9 @@ class TraceSource
     virtual uint64_t consumedTraces() const { return 0; }
 
     /**
-     * Input bytes behind the yielded traces (frame bytes for indexed
-     * files, a pro-rata estimate for pre-decoded streams, 0 where
-     * byte accounting is meaningless, e.g. in-process capture).
+     * Input bytes behind the yielded traces (frame bytes for trace
+     * files, 0 where byte accounting is meaningless, e.g. in-process
+     * capture).
      */
     virtual uint64_t consumedBytes() const { return 0; }
 
@@ -191,44 +190,6 @@ class V2FileSource final : public TraceSource
 };
 
 /**
- * Pre-loaded traces from the sequential stream loader — the adapter
- * that keeps legacy v1 files (and unmappable streams) on the unified
- * ingest path. Decode happened at construction; pull() just hands
- * out disjoint runs under a lock.
- */
-class StreamTraceSource final : public TraceSource
-{
-  public:
-    /**
-     * Takes ownership of @p loaded (traces + their shared arena) as
-     * produced by loadTracesFromFile. @p file_bytes is the on-disk
-     * size, for stats.
-     */
-    StreamTraceSource(std::string path, uint32_t file_id,
-                      LoadedTraces loaded, uint64_t file_bytes);
-
-    const std::string &name() const override { return name_; }
-    size_t traceCount() const override { return traces_.size(); }
-    uint64_t totalOps() const override { return totalOps_; }
-    uint64_t sizeBytes() const override { return fileBytes_; }
-    bool mmapBacked() const override { return false; }
-
-    Pull pull(size_t max, std::vector<Trace> *out,
-              SourceError *error) override;
-
-    uint64_t consumedTraces() const override;
-    uint64_t consumedBytes() const override;
-
-  private:
-    std::string name_;
-    std::vector<Trace> traces_;
-    uint64_t totalOps_ = 0;
-    uint64_t fileBytes_ = 0;
-    mutable std::mutex mutex_;
-    size_t cursor_ = 0; ///< guarded by mutex_
-};
-
-/**
  * The in-process capture sink as a TraceSource: the program under
  * test pushes sealed traces (install sink() via pmtestSetTraceSink),
  * the checking side pulls them through the same ingest() loop the
@@ -275,8 +236,8 @@ class CaptureTraceSource final : public TraceSource
  * An ordered set of child sources drained front to back. Identity
  * comes from the children (each stamps its own fileId), so the
  * composite only routes pulls: concurrent pullers drain the current
- * child together and roll over to the next when it ends — shards and
- * multi-file sets parallelize across children with no barrier.
+ * child together and roll over to the next when it ends — multi-file
+ * sets parallelize across children with no barrier.
  */
 class MultiTraceSource final : public TraceSource
 {
@@ -311,13 +272,10 @@ class MultiTraceSource final : public TraceSource
 
 /**
  * Open one trace file as a source, stamping its traces with
- * @p file_id:
- *  - IngestMode::Mmap   — require the v2 indexed reader (error on v1
- *    or unmappable files);
- *  - IngestMode::Stream — force the sequential loader (v1 and v2);
- *  - IngestMode::Auto   — indexed reader when the file has a v2
- *    index, silent fallback to the stream loader otherwise.
- * @return nullptr with *error set when the file cannot be read.
+ * @p file_id. @p mode is the reader's backing (mmap or one read()
+ * buffer); see TraceFileReader::open.
+ * @return nullptr with *error (prefixed by @p path) set when the
+ *         file cannot be read or fails validation.
  */
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path, IngestMode mode,
@@ -326,9 +284,10 @@ openTraceSource(const std::string &path, IngestMode mode,
 /**
  * Split @p reader's index into @p shards byte-balanced contiguous
  * slices (frame-byte partitioning, so one huge trace does not leave
- * its shard siblings idle). Returns fewer sources than requested
- * when the file has fewer traces than shards; at least one source is
- * returned even for an empty file.
+ * its shard siblings idle) — the split `--worker=i/N` checks slice i
+ * of. Returns fewer sources than requested when the file has fewer
+ * traces than shards; at least one source is returned even for an
+ * empty file.
  */
 std::vector<std::unique_ptr<TraceSource>>
 shardTraceSource(std::shared_ptr<const TraceFileReader> reader,

@@ -35,7 +35,7 @@ corpusFile(const char *name)
     std::vector<Trace> traces;
     for (SeedTrace &seed : corpus)
         traces.push_back(std::move(seed.trace));
-    EXPECT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    EXPECT_TRUE(saveTracesToFile(path, traces));
     return path;
 }
 
@@ -128,7 +128,6 @@ TEST(CheckPlanTest, DistributeRejectsPerProcessSurfaces)
         EXPECT_NE(error.find(needle), std::string::npos) << error;
         EXPECT_TRUE(usage);
     };
-    expectRejected([](CheckPlan &p) { p.shards = 4; }, "--shards");
     expectRejected([](CheckPlan &p) { p.fixHints = true; },
                    "--fix-hints");
     expectRejected([](CheckPlan &p) { p.metricsLinger = true; },

@@ -51,7 +51,7 @@ TEST(TraceIngestTest, ReportOutlivesEveryPipelineObject)
         std::vector<Trace> traces;
         for (uint64_t i = 0; i < 4; i++)
             traces.push_back(buggyTrace(i));
-        ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+        ASSERT_TRUE(saveTracesToFile(path, traces));
     }
 
     // Everything that could own the decoded file-name strings —
@@ -92,7 +92,7 @@ TEST(TraceIngestTest, MergePropagatesHeldArenas)
     const std::string path = tmpPath("merge_arenas");
     {
         std::vector<Trace> traces{buggyTrace(0)};
-        ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+        ASSERT_TRUE(saveTracesToFile(path, traces));
     }
 
     Report outer;
@@ -125,8 +125,8 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     {
         std::vector<Trace> a{buggyTrace(0), buggyTrace(1)};
         std::vector<Trace> b{buggyTrace(0)};
-        ASSERT_TRUE(saveTracesToFile(path_a, a, TraceFormat::V2));
-        ASSERT_TRUE(saveTracesToFile(path_b, b, TraceFormat::V1));
+        ASSERT_TRUE(saveTracesToFile(path_a, a));
+        ASSERT_TRUE(saveTracesToFile(path_b, b));
     }
 
     std::string error;
@@ -134,8 +134,9 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     children.push_back(
         openTraceSource(path_a, IngestMode::Auto, 0, &error));
     ASSERT_TRUE(children.back()) << error;
+    // The second file is read into a heap buffer instead of mapped.
     children.push_back(
-        openTraceSource(path_b, IngestMode::Auto, 1, &error));
+        openTraceSource(path_b, IngestMode::Stream, 1, &error));
     ASSERT_TRUE(children.back()) << error;
     MultiTraceSource combined(std::move(children));
 
@@ -148,7 +149,7 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     EXPECT_TRUE(stats.active);
     EXPECT_EQ(stats.sources, 2u);
     EXPECT_EQ(stats.tracesDecoded, 3u);
-    // The v1 child is buffer-backed, so the composite is not fully
+    // One child is buffer-backed, so the composite is not fully
     // mmap-backed.
     EXPECT_FALSE(stats.mmapBacked);
 

@@ -4,15 +4,22 @@
  * binaries: every unknown flag and every malformed value makes
  * pmtest_check, pmtest_recall and pmtest_seed_corpus print a
  * diagnostic plus their usage text to stderr and exit 2, and --help
- * prints usage to stdout and exits 0. Binary paths are injected by
- * CMake (PMTEST_*_BIN).
+ * prints usage to stdout and exits 0. pmtest_check also exits 2,
+ * naming the file, on a trace file the reader rejects (v1, or a
+ * corrupt header). Binary paths are injected by CMake
+ * (PMTEST_*_BIN).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "tests/tools/tool_driver.hh"
+#include "trace/seed_corpus.hh"
+#include "trace/trace_io.hh"
 
 namespace
 {
@@ -86,6 +93,75 @@ TEST(UsageErrorsTest, CheckRejectsBadDistributedSpecs)
                      "mutually exclusive");
     expectUsageError(bin, "--distribute=2 --stats x.trace",
                      "--stats is per-process");
+}
+
+TEST(UsageErrorsTest, CheckHasNoIngestOrShardsFlag)
+{
+    const std::string bin = PMTEST_CHECK_BIN;
+    expectUsageError(bin, "--ingest=auto x.trace",
+                     "unknown option '--ingest=auto'");
+    expectUsageError(bin, "--shards=2 x.trace",
+                     "unknown option '--shards=2'");
+}
+
+TEST(UsageErrorsTest, CheckRejectsV1AndCorruptTraceFiles)
+{
+    std::vector<pmtest::Trace> traces;
+    for (pmtest::SeedTrace &seed : pmtest::seedCorpusTraces())
+        traces.push_back(std::move(seed.trace));
+    const auto writeBytes = [](const std::string &path,
+                               const std::string &bytes) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    };
+    const auto expectRejected = [](const std::string &path,
+                                   const std::string &needle) {
+        const RunResult r =
+            run(std::string(PMTEST_CHECK_BIN) + " " + path);
+        EXPECT_EQ(r.exitCode, 2) << path << " stdout: "
+                                 << r.stdoutText;
+        EXPECT_TRUE(r.stdoutText.empty()) << r.stdoutText;
+        EXPECT_EQ(r.stderrText.rfind(path + ": ", 0), 0u)
+            << r.stderrText;
+        EXPECT_NE(r.stderrText.find(needle), std::string::npos)
+            << r.stderrText;
+    };
+
+    // A version-1 file: header, then unframed bodies, no index.
+    const std::string v1_path = testing::TempDir() + "usage_v1.trace";
+    {
+        std::string bytes;
+        const auto put = [&bytes](auto value) {
+            bytes.append(reinterpret_cast<const char *>(&value),
+                         sizeof(value));
+        };
+        put(pmtest::TraceWire::kMagic);
+        put(uint32_t{1});
+        put(static_cast<uint32_t>(traces.size()));
+        for (const auto &trace : traces)
+            pmtest::encodeTraceBody(trace, &bytes);
+        writeBytes(v1_path, bytes);
+    }
+    expectRejected(v1_path, "version 1");
+
+    // A valid file with bit 0 of its header trace count flipped: the
+    // footer disagrees, so the file is rejected instead of checked
+    // one trace short (or long).
+    const std::string count_path =
+        testing::TempDir() + "usage_count.trace";
+    ASSERT_TRUE(pmtest::saveTracesToFile(count_path, traces));
+    {
+        std::ifstream in(count_path, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        bytes[12] = static_cast<char>(bytes[12] ^ 1);
+        writeBytes(count_path, bytes);
+    }
+    expectRejected(count_path, "trace count mismatch");
+
+    std::remove(v1_path.c_str());
+    std::remove(count_path.c_str());
 }
 
 TEST(UsageErrorsTest, RecallRejectsBadValues)

@@ -1,9 +1,14 @@
 #include "trace/trace_io.hh"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <sstream>
+
+#include "trace/trace_reader.hh"
 
 namespace pmtest
 {
@@ -23,21 +28,46 @@ sampleTrace(uint64_t id)
     return t;
 }
 
+std::string
+tmpPath(const char *tag)
+{
+    return "/tmp/pmtest_trace_io_test_" + std::to_string(getpid()) +
+           "_" + tag + ".bin";
+}
+
+/** Write @p bytes to a temp file and open it with the reader. */
+std::unique_ptr<TraceFileReader>
+openBytes(const std::string &bytes, std::string *error)
+{
+    const std::string path = tmpPath("bytes");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    auto reader = TraceFileReader::open(path, IngestMode::Auto, error);
+    std::remove(path.c_str());
+    return reader;
+}
+
 TEST(TraceIoTest, RoundTripPreservesEverything)
 {
     std::vector<Trace> traces{sampleTrace(7), sampleTrace(8)};
     std::stringstream stream;
     const size_t bytes = saveTraces(stream, traces);
     EXPECT_GT(bytes, 0u);
+    EXPECT_EQ(bytes, stream.str().size());
 
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 2u);
+    std::string error;
+    const auto reader = openBytes(stream.str(), &error);
+    ASSERT_TRUE(reader) << error;
+    ASSERT_EQ(reader->traceCount(), 2u);
 
     for (size_t t = 0; t < 2; t++) {
         const Trace &orig = traces[t];
-        const Trace &got = loaded.traces[t];
+        DecodedTrace decoded;
+        ASSERT_TRUE(reader->decode(t, &decoded));
+        const Trace &got = decoded.trace;
         EXPECT_EQ(got.id(), orig.id());
         EXPECT_EQ(got.threadId(), orig.threadId());
         ASSERT_EQ(got.size(), orig.size());
@@ -57,26 +87,16 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
     }
 }
 
-TEST(TraceIoTest, ExplicitV1FormatRoundTrips)
-{
-    std::vector<Trace> traces{sampleTrace(5)};
-    std::stringstream stream;
-    EXPECT_GT(saveTraces(stream, traces, TraceFormat::V1), 0u);
-
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 1u);
-    EXPECT_EQ(loaded.traces[0].id(), 5u);
-    EXPECT_EQ(loaded.traces[0].size(), traces[0].size());
-}
-
 TEST(TraceIoTest, DefaultFormatIsIndexedV2)
 {
     std::stringstream stream;
     saveTraces(stream, {sampleTrace(1)});
     const std::string bytes = stream.str();
     ASSERT_GT(bytes.size(), TraceWire::kFooterBytes);
+    uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + sizeof(uint64_t),
+                sizeof(version));
+    EXPECT_EQ(version, TraceWire::kVersion);
     uint64_t footer_magic = 0;
     std::memcpy(&footer_magic,
                 bytes.data() + bytes.size() - sizeof(uint64_t),
@@ -88,19 +108,19 @@ TEST(TraceIoTest, EmptyTraceListRoundTrips)
 {
     std::stringstream stream;
     saveTraces(stream, {});
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    EXPECT_TRUE(ok);
-    EXPECT_TRUE(loaded.traces.empty());
+    std::string error;
+    const auto reader = openBytes(stream.str(), &error);
+    ASSERT_TRUE(reader) << error;
+    EXPECT_EQ(reader->traceCount(), 0u);
 }
 
 TEST(TraceIoTest, GarbageInputRejected)
 {
-    std::stringstream stream("this is not a trace file at all");
-    bool ok = true;
-    const auto loaded = loadTraces(stream, &ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(loaded.traces.empty());
+    std::string error;
+    EXPECT_FALSE(openBytes("this is not a trace file at all; it is "
+                           "just some text",
+                           &error));
+    EXPECT_FALSE(error.empty());
 }
 
 TEST(TraceIoTest, TruncatedInputRejected)
@@ -108,29 +128,36 @@ TEST(TraceIoTest, TruncatedInputRejected)
     std::stringstream full;
     saveTraces(full, {sampleTrace(1)});
     const std::string bytes = full.str();
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    bool ok = true;
-    loadTraces(truncated, &ok);
-    EXPECT_FALSE(ok);
+    std::string error;
+    EXPECT_FALSE(openBytes(bytes.substr(0, bytes.size() / 2), &error));
+    EXPECT_FALSE(error.empty());
 }
 
 TEST(TraceIoTest, FileRoundTrip)
 {
-    const std::string path = "/tmp/pmtest_trace_io_test.bin";
+    const std::string path = tmpPath("file");
     ASSERT_TRUE(saveTracesToFile(path, {sampleTrace(42)}));
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(path, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 1u);
-    EXPECT_EQ(loaded.traces[0].id(), 42u);
+    std::string error;
+    const auto reader =
+        TraceFileReader::open(path, IngestMode::Auto, &error);
+    ASSERT_TRUE(reader) << error;
+    ASSERT_EQ(reader->traceCount(), 1u);
+    DecodedTrace decoded;
+    ASSERT_TRUE(reader->decode(0, &decoded));
+    EXPECT_EQ(decoded.trace.id(), 42u);
     std::remove(path.c_str());
 }
 
 TEST(TraceIoTest, MissingFileReported)
 {
-    bool ok = true;
-    loadTracesFromFile("/nonexistent/nowhere.bin", &ok);
-    EXPECT_FALSE(ok);
+    EXPECT_FALSE(saveTracesToFile("/nonexistent/nowhere.bin",
+                                  {sampleTrace(1)}));
+    std::string error;
+    EXPECT_FALSE(TraceFileReader::open("/nonexistent/nowhere.bin",
+                                       IngestMode::Auto, &error));
+    EXPECT_NE(error.find("/nonexistent/nowhere.bin"),
+              std::string::npos)
+        << error;
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * TraceFileReader (mmap-backed indexed v2 reader) tests: round-trips
+ * TraceFileReader (mmap-backed indexed reader) tests: round-trips
  * in both backing modes, v1 rejection, fail-closed behaviour on every
  * truncation point and footer/index/frame corruption, and the
- * determinism contract of the parallel ingest pipeline against the
- * serial v1 loader.
+ * determinism contract of the parallel ingest pipeline against a
+ * serial check of the original in-memory traces.
  */
 
 #include "trace/trace_reader.hh"
@@ -104,7 +104,7 @@ roundTripIn(IngestMode mode, bool expect_mmap)
 {
     const auto traces = sampleTraces(5, 4);
     const std::string path = tmpPath("roundtrip");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     auto reader = TraceFileReader::open(path, mode, &error);
@@ -139,7 +139,7 @@ TEST(TraceReaderTest, RoundTripStreamFallback)
 TEST(TraceReaderTest, EmptyFileRoundTrips)
 {
     const std::string path = tmpPath("empty");
-    ASSERT_TRUE(saveTracesToFile(path, {}, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, {}));
     std::string error;
     auto reader = TraceFileReader::open(path, IngestMode::Auto,
                                         &error);
@@ -149,26 +149,30 @@ TEST(TraceReaderTest, EmptyFileRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(TraceReaderTest, V1FileRejectedButStreamLoaderReadsIt)
+TEST(TraceReaderTest, V1FileRejected)
 {
+    // A version-1 file: header, then unframed bodies, no index.
+    std::string bytes;
+    const auto put = [&bytes](auto value) {
+        bytes.append(reinterpret_cast<const char *>(&value),
+                     sizeof(value));
+    };
     const auto traces = sampleTraces(3, 2);
+    put(TraceWire::kMagic);
+    put(uint32_t{1});
+    put(static_cast<uint32_t>(traces.size()));
+    for (const auto &trace : traces)
+        encodeTraceBody(trace, &bytes);
     const std::string path = tmpPath("v1");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V1));
+    writeFile(path, bytes);
 
     // No index footer: the reader must refuse, not guess.
     std::string error;
     auto reader = TraceFileReader::open(path, IngestMode::Auto,
                                         &error);
     EXPECT_FALSE(reader);
-    EXPECT_FALSE(error.empty());
-
-    // The sequential loader still understands the v1 format.
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(path, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), traces.size());
-    for (size_t i = 0; i < traces.size(); i++)
-        expectTracesEqual(traces[i], loaded.traces[i]);
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find("version 1"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 
@@ -185,7 +189,7 @@ TEST(TraceReaderTest, EveryTruncationFailsClosed)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("full");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     const std::string bytes = readFile(path);
     std::remove(path.c_str());
     ASSERT_GT(bytes.size(), TraceWire::kFooterBytes);
@@ -207,7 +211,7 @@ TEST(TraceReaderTest, CorruptFooterBytesRejected)
 {
     const auto traces = sampleTraces(2, 3);
     const std::string path = tmpPath("footer");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     const std::string bytes = readFile(path);
 
     const std::string flip_path = tmpPath("footer_flip");
@@ -231,7 +235,7 @@ TEST(TraceReaderTest, CorruptIndexCaughtByCrc)
 {
     const auto traces = sampleTraces(4, 2);
     const std::string path = tmpPath("index");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     std::string bytes = readFile(path);
 
     // The index sits right before the footer.
@@ -261,7 +265,7 @@ TEST(TraceReaderTest, CorruptFrameLengthRejected)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("framelen");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     std::string bytes = readFile(path);
 
     // First frame_len lives right after the 16-byte header. The
@@ -280,21 +284,15 @@ TEST(TraceReaderTest, CorruptFrameLengthRejected)
 TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
 {
     const auto traces = sampleTraces(40, 6);
-    const std::string v2_path = tmpPath("det_v2");
-    const std::string v1_path = tmpPath("det_v1");
-    ASSERT_TRUE(saveTracesToFile(v2_path, traces, TraceFormat::V2));
-    ASSERT_TRUE(saveTracesToFile(v1_path, traces, TraceFormat::V1));
+    const std::string path = tmpPath("det");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
-    // Serial reference: v1 stream loader + one engine, in file order.
-    // The bundle owns the source-path strings the findings point at,
-    // so it must stay alive until the last serial.str() below.
+    // Serial reference: the original in-memory traces, checked by one
+    // engine in order — no decoder on this side of the comparison.
     core::Report serial;
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(v1_path, &ok);
-    ASSERT_TRUE(ok);
     {
         core::Engine engine(core::ModelKind::X86);
-        for (const auto &trace : loaded.traces)
+        for (const auto &trace : traces)
             serial.merge(engine.check(trace));
         serial.canonicalize();
     }
@@ -309,7 +307,7 @@ TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
     {
         std::string error;
         auto source =
-            openTraceSource(v2_path, IngestMode::Mmap, 0, &error);
+            openTraceSource(path, IngestMode::Mmap, 0, &error);
         ASSERT_TRUE(source) << error;
         core::PoolOptions options;
         options.workers = 4;
@@ -333,8 +331,7 @@ TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
     EXPECT_EQ(serial.warnCount(), parallel.warnCount());
     EXPECT_EQ(serial.str(), parallel.str());
 
-    std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -1,12 +1,13 @@
 /**
  * @file
  * TraceSource tests: identity stamping and arena attachment across
- * every source kind, byte-balanced shard partitioning, the v1 stream
- * fallback, the blocking capture source, the multi-source composite,
- * decode-error attribution (file + trace index), and the byte-
- * identity of sharded / multi-file ingest against the single-source
- * run — including a mixed v1+v2 input set against checking each file
- * separately and merging.
+ * every source kind, byte-balanced shard partitioning, fail-closed
+ * opening of corrupt files (no fallback reader), the blocking
+ * capture source, the multi-source composite, decode-error
+ * attribution (file + trace index), and the byte-identity of sharded
+ * / multi-file ingest against the single-source run — including a
+ * two-file input set against checking each file separately and
+ * merging.
  */
 
 #include "trace/trace_source.hh"
@@ -102,7 +103,7 @@ TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
 {
     const auto traces = sampleTraces(6, 3);
     const std::string path = tmpPath("v2_identity");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     auto source = openTraceSource(path, IngestMode::Auto, 7, &error);
@@ -123,40 +124,61 @@ TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
     std::remove(path.c_str());
 }
 
-TEST(TraceSourceTest, StreamFallbackReadsV1Files)
+TEST(TraceSourceTest, EveryHeaderIndexFooterBitFlipFailsClosed)
 {
-    const auto traces = sampleTraces(4, 2);
-    const std::string path = tmpPath("v1_fallback");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V1));
-
-    std::string error;
-    auto source = openTraceSource(path, IngestMode::Auto, 3, &error);
-    ASSERT_TRUE(source) << error;
-    EXPECT_FALSE(source->mmapBacked());
-    EXPECT_EQ(source->traceCount(), traces.size());
-    EXPECT_GT(source->sizeBytes(), 0u);
-
-    std::vector<Trace> out;
-    drain(*source, &out);
-    ASSERT_EQ(out.size(), traces.size());
-    for (const auto &trace : out)
-        EXPECT_EQ(trace.fileId(), 3u);
-
-    // Mmap mode must reject the same v1 file with a path-qualified
-    // error instead of silently falling back.
-    error.clear();
-    auto strict = openTraceSource(path, IngestMode::Mmap, 0, &error);
-    EXPECT_FALSE(strict);
-    EXPECT_NE(error.find(path), std::string::npos) << error;
-
+    const auto traces = sampleTraces(5, 2);
+    const std::string path = tmpPath("bit_flip");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
     std::remove(path.c_str());
+
+    // Every byte the reader validates structurally: the header, the
+    // index and the footer. (Frame bodies carry no checksum.)
+    const size_t index_start = bytes.size() - TraceWire::kFooterBytes -
+                               traces.size() *
+                                   TraceWire::kIndexEntryBytes;
+    std::vector<size_t> offsets;
+    for (size_t i = 0; i < TraceWire::kHeaderBytes; i++)
+        offsets.push_back(i);
+    for (size_t i = index_start; i < bytes.size(); i++)
+        offsets.push_back(i);
+    ASSERT_EQ(offsets.size(),
+              TraceWire::kHeaderBytes + TraceWire::kFooterBytes +
+                  traces.size() * TraceWire::kIndexEntryBytes);
+
+    const std::string flip_path = tmpPath("bit_flip_mutant");
+    for (const size_t at : offsets) {
+        for (int bit = 0; bit < 8; bit++) {
+            std::string mutated = bytes;
+            mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
+            {
+                std::ofstream out(flip_path,
+                                  std::ios::binary | std::ios::trunc);
+                out.write(mutated.data(),
+                          static_cast<std::streamsize>(mutated.size()));
+            }
+            std::string error;
+            auto source =
+                openTraceSource(flip_path, IngestMode::Auto, 0, &error);
+            EXPECT_FALSE(source)
+                << "byte " << at << " bit " << bit << " accepted";
+            EXPECT_EQ(error.rfind(flip_path + ": ", 0), 0u)
+                << "byte " << at << " bit " << bit << ": " << error;
+        }
+    }
+    std::remove(flip_path.c_str());
 }
 
 TEST(TraceSourceTest, ShardsPartitionTheIndexExactly)
 {
     const auto traces = sampleTraces(11, 3);
     const std::string path = tmpPath("shard_partition");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     std::shared_ptr<const TraceFileReader> reader =
@@ -195,7 +217,7 @@ TEST(TraceSourceTest, ShardNamesCarryTheSlice)
 {
     const auto traces = sampleTraces(4, 2);
     const std::string path = tmpPath("shard_names");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     std::shared_ptr<const TraceFileReader> reader =
@@ -212,7 +234,7 @@ TEST(TraceSourceTest, ShardedIngestMatchesWholeFileByteForByte)
 {
     const auto traces = sampleTraces(23, 5);
     const std::string path = tmpPath("shard_verdict");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     auto whole = openTraceSource(path, IngestMode::Auto, 0, &error);
@@ -233,23 +255,23 @@ TEST(TraceSourceTest, ShardedIngestMatchesWholeFileByteForByte)
     std::remove(path.c_str());
 }
 
-TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
+TEST(TraceSourceTest, TwoFileSetMatchesPerFileCheckAndMerge)
 {
     // Both files reuse trace ids 0..N-1, so the canonical order of
     // the combined run genuinely depends on the fileId tiebreak.
     const auto first = sampleTraces(7, 4);
     const auto second = sampleTraces(5, 3);
-    const std::string v1_path = tmpPath("mixed_v1");
-    const std::string v2_path = tmpPath("mixed_v2");
-    ASSERT_TRUE(saveTracesToFile(v1_path, first, TraceFormat::V1));
-    ASSERT_TRUE(saveTracesToFile(v2_path, second, TraceFormat::V2));
+    const std::string first_path = tmpPath("set_first");
+    const std::string second_path = tmpPath("set_second");
+    ASSERT_TRUE(saveTracesToFile(first_path, first));
+    ASSERT_TRUE(saveTracesToFile(second_path, second));
 
     // Reference: check each file separately (with its input-order
     // fileId) and merge the reports.
     std::string error;
     core::Report reference;
     {
-        auto a = openTraceSource(v1_path, IngestMode::Auto, 0,
+        auto a = openTraceSource(first_path, IngestMode::Auto, 0,
                                  &error);
         ASSERT_TRUE(a) << error;
         core::EnginePool pool(core::PoolOptions{});
@@ -260,7 +282,7 @@ TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
         reference.merge(pool.results());
     }
     {
-        auto b = openTraceSource(v2_path, IngestMode::Auto, 1,
+        auto b = openTraceSource(second_path, IngestMode::Auto, 1,
                                  &error);
         ASSERT_TRUE(b) << error;
         core::EnginePool pool(core::PoolOptions{});
@@ -277,18 +299,18 @@ TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
     // decoders and workers.
     std::vector<std::unique_ptr<TraceSource>> children;
     children.push_back(
-        openTraceSource(v1_path, IngestMode::Auto, 0, &error));
+        openTraceSource(first_path, IngestMode::Auto, 0, &error));
     ASSERT_TRUE(children.back()) << error;
     children.push_back(
-        openTraceSource(v2_path, IngestMode::Auto, 1, &error));
+        openTraceSource(second_path, IngestMode::Auto, 1, &error));
     ASSERT_TRUE(children.back()) << error;
     MultiTraceSource combined(std::move(children));
     EXPECT_EQ(combined.sourceCount(), 2u);
     EXPECT_EQ(combined.traceCount(), first.size() + second.size());
     EXPECT_EQ(checkVerdict(combined, 3, 4), reference.str());
 
-    std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
+    std::remove(first_path.c_str());
+    std::remove(second_path.c_str());
 }
 
 TEST(TraceSourceTest, CaptureSourceBlocksUntilPushOrClose)
@@ -342,7 +364,7 @@ TEST(TraceSourceTest, DecodeErrorNamesFileAndTraceIndex)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("decode_error");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     // Corrupt the first body's op_count (body offset 12, after the
     // 8-byte frame length): frame chaining and the index CRC still
