@@ -20,7 +20,8 @@ Engine::TraceState::reset()
 }
 
 Engine::Engine(ModelKind kind, bool batch_writes)
-    : batchWrites_(batch_writes), model_(makeModel(kind))
+    : batchWrites_(batch_writes), model_(makeModel(kind)),
+      state_(model_ && model_->needsOpenWrites())
 {
     if (!model_)
         fatal("Engine: unknown persistency model");

@@ -13,6 +13,10 @@
  *    tree, TX-checker write list) lives in the engine and is reset —
  *    clearing contents but retaining capacity — rather than rebuilt,
  *    so steady-state checking allocates nothing per trace.
+ *  - The shadow keeps only what the model's rules read: the
+ *    written-since-dfence set exists for the HOPS dfence alone
+ *    (PersistencyModel::needsOpenWrites), so x86 and ARM writes
+ *    update one interval map, not two.
  *  - One kernel checks every model through the PersistencyModel
  *    interface (§5.2), one virtual call per operation, and batches
  *    runs of consecutive writes into one sorted shadow update. The
@@ -64,6 +68,9 @@ class Engine
     /** The model in use. */
     const PersistencyModel &model() const { return *model_; }
 
+    /** The shadow memory as the last checked trace left it. */
+    const ShadowMemory &shadow() const { return state_.shadow; }
+
   private:
     /**
      * Per-trace checking state, owned by the engine and reset (not
@@ -71,6 +78,9 @@ class Engine
      */
     struct TraceState
     {
+        /** @param open_writes the model's needsOpenWrites(). */
+        explicit TraceState(bool open_writes) : shadow(open_writes) {}
+
         ShadowMemory shadow;
         /** Ranges removed from the testing scope. */
         IntervalMap<bool> exclusions;

@@ -1,5 +1,6 @@
 #include "core/engine_pool.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/telemetry.hh"
@@ -90,8 +91,10 @@ EnginePool::recordResult(Report report)
     bool drained;
     {
         std::lock_guard<std::mutex> lock(resultMutex_);
-        obs::SpanScope span(obs::Stage::ReportMerge);
-        aggregate_.merge(report);
+        // Only a push under the lock; the merge waits for the drain.
+        // A clean report has no findings, so it needs no arena either.
+        if (!report.clean())
+            pending_.push_back(std::move(report));
         completed_++;
         // The drain predicate can only turn true at the moment the
         // counters meet; notifying on every completion wakes blocked
@@ -178,6 +181,7 @@ EnginePool::results()
     // predicate turning true and the copy.
     std::unique_lock<std::mutex> lock(resultMutex_);
     drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    foldPending();
     return aggregate_;
 }
 
@@ -186,6 +190,7 @@ EnginePool::clearResults()
 {
     std::unique_lock<std::mutex> lock(resultMutex_);
     drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    pending_.clear();
     aggregate_ = Report();
 }
 
@@ -194,9 +199,35 @@ EnginePool::takeResults()
 {
     std::unique_lock<std::mutex> lock(resultMutex_);
     drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    foldPending();
     Report out = std::move(aggregate_);
     aggregate_ = Report();
     return out;
+}
+
+void
+EnginePool::foldPending()
+{
+    // One span per fold, also an empty one: a clean run still has
+    // its (trivial) merge stage.
+    obs::SpanScope span(obs::Stage::ReportMerge);
+    if (pending_.empty())
+        return;
+    // Stable: reports sharing a (fileId, traceId) keep completion
+    // order, exactly as the per-trace merge left them.
+    std::stable_sort(pending_.begin(), pending_.end(),
+                     [](const Report &a, const Report &b) {
+                         if (a.fileId() != b.fileId())
+                             return a.fileId() < b.fileId();
+                         return a.traceId() < b.traceId();
+                     });
+    size_t total = aggregate_.findings().size();
+    for (const Report &r : pending_)
+        total += r.findings().size();
+    aggregate_.mutableFindings().reserve(total);
+    for (Report &r : pending_)
+        aggregate_.merge(std::move(r)); // frees r's storage
+    std::vector<Report>().swap(pending_);
 }
 
 PoolStats

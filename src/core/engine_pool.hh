@@ -7,6 +7,14 @@
  * drain(). A zero-worker pool checks traces inline on the caller —
  * the configuration used by the decoupling ablation.
  *
+ * Result collection is folded at drain, not merged per trace: a
+ * finished trace only moves its report (if it has findings) onto a
+ * pending list under resultMutex_. results()/takeResults() sort that
+ * list by (fileId, traceId), reserve once and move-merge it into the
+ * aggregate, freeing each per-trace report as it goes. No finding is
+ * copied on the way, and since each trace's findings are in op
+ * order, a take normally comes out already canonical.
+ *
  * Dispatch is a single bounded ConcurrentQueue shared by all workers:
  *  - submit() pushes one trace, submitBatch() pushes many under one
  *    lock acquisition (the paper's §4.2 "divide the program into
@@ -145,10 +153,11 @@ class EnginePool
     void drain();
 
     /**
-     * Merged findings of all traces checked so far. Implies drain();
-     * the wait and the snapshot happen in one critical section, so
-     * the returned report is exactly the drained state even when
-     * other threads keep submitting.
+     * Merged findings of all traces checked so far (a copy; the pool
+     * keeps them). Implies drain(); the wait and the snapshot happen
+     * in one critical section, so the returned report is exactly the
+     * drained state even when other threads keep submitting. Prefer
+     * takeResults() when the pool's copy is not needed again.
      */
     Report results();
 
@@ -192,6 +201,11 @@ class EnginePool
     /** Process one trace on @p worker and record its report. */
     void checkOn(Worker &worker, Trace trace);
     void recordResult(Report report);
+    /**
+     * Move pending_ into aggregate_ in (fileId, traceId) order.
+     * REQUIRES: resultMutex_ held.
+     */
+    void foldPending();
     /** Account a submit that blocked @p stall_ns on the full queue. */
     void noteStall(uint64_t stall_ns);
     void checkInline(Trace trace);
@@ -205,6 +219,8 @@ class EnginePool
 
     mutable std::mutex resultMutex_;
     std::condition_variable drainCv_;
+    /** Non-clean per-trace reports not yet folded into aggregate_. */
+    std::vector<Report> pending_;
     Report aggregate_;
     uint64_t submitted_ = 0; ///< guarded by resultMutex_
     uint64_t completed_ = 0; ///< guarded by resultMutex_

@@ -20,6 +20,9 @@ class HopsModel final : public PersistencyModel
   public:
     const char *name() const override { return "hops"; }
 
+    /** The dfence rule completes every write since the last one. */
+    bool needsOpenWrites() const override { return true; }
+
     void
     apply(const PmOp &op, ShadowMemory &shadow, Report &report,
           size_t op_index) override

@@ -39,6 +39,14 @@ class PersistencyModel
     virtual const char *name() const = 0;
 
     /**
+     * Whether apply() calls ShadowMemory::completeAllWrites(), i.e.
+     * whether the shadow must keep its written-since-dfence set. Only
+     * HOPS does; engines build their shadow with this setting so the
+     * other models skip that bookkeeping on every write.
+     */
+    virtual bool needsOpenWrites() const { return false; }
+
+    /**
      * Apply one hardware PM operation to the shadow memory,
      * emitting WARN findings (performance bugs) or Malformed findings
      * (operations the model does not define) into @p report.

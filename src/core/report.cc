@@ -91,6 +91,27 @@ Report::merge(const Report &other)
 }
 
 void
+Report::merge(Report &&other)
+{
+    // Taking the vectors into locals frees other's storage on return.
+    std::vector<Finding> findings = std::move(other.findings_);
+    std::vector<Arena> arenas = std::move(other.arenas_);
+    other.findings_.clear();
+    other.arenas_.clear();
+    // Steal the buffer unless ours is already big enough (a caller
+    // that reserved for a whole fold keeps its one allocation).
+    if (findings_.empty() && findings_.capacity() < findings.size()) {
+        findings_ = std::move(findings);
+    } else {
+        findings_.insert(findings_.end(),
+                         std::make_move_iterator(findings.begin()),
+                         std::make_move_iterator(findings.end()));
+    }
+    for (auto &arena : arenas)
+        holdArena(std::move(arena));
+}
+
+void
 Report::stampIdentity()
 {
     for (auto &f : findings_) {
@@ -116,14 +137,16 @@ void
 Report::canonicalize()
 {
     obs::SpanScope span(obs::Stage::ReportCanonicalize);
-    std::stable_sort(findings_.begin(), findings_.end(),
-                     [](const Finding &a, const Finding &b) {
-                         if (a.fileId != b.fileId)
-                             return a.fileId < b.fileId;
-                         if (a.traceId != b.traceId)
-                             return a.traceId < b.traceId;
-                         return a.opIndex < b.opIndex;
-                     });
+    const auto before = [](const Finding &a, const Finding &b) {
+        if (a.fileId != b.fileId)
+            return a.fileId < b.fileId;
+        if (a.traceId != b.traceId)
+            return a.traceId < b.traceId;
+        return a.opIndex < b.opIndex;
+    };
+    if (std::is_sorted(findings_.begin(), findings_.end(), before))
+        return;
+    std::stable_sort(findings_.begin(), findings_.end(), before);
 }
 
 std::string

@@ -114,6 +114,13 @@ class Report
     void merge(const Report &other);
 
     /**
+     * Merge by moving: @p other's findings and arenas are moved in
+     * and its storage is released, so folding many reports never
+     * holds two copies of a finding.
+     */
+    void merge(Report &&other);
+
+    /**
      * Set every finding's (fileId, traceId) to this report's
      * identity. The checking kernels only record opIndex (they do
      * not know the trace identity); the engine stamps it once per
@@ -140,7 +147,9 @@ class Report
      * a report merged from parallel workers over any shard/source
      * assignment canonicalizes to the exact byte sequence the serial,
      * submission-ordered path produces — the determinism contract of
-     * the parallel offline-check pipeline.
+     * the parallel offline-check pipeline. A report that is already
+     * in canonical order (EnginePool folds per-trace reports in
+     * (fileId, traceId) order) costs one linear check.
      */
     void canonicalize();
 

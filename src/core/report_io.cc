@@ -409,7 +409,7 @@ mergeReports(std::vector<WorkerReport> parts, Report *merged,
     ReportMeta totals;
     totals.workerCount = static_cast<uint32_t>(parts.size());
     for (WorkerReport &part : parts) {
-        out.merge(part.report);
+        out.merge(std::move(part.report));
         totals.traceCount += part.meta.traceCount;
         totals.totalOps += part.meta.totalOps;
         totals.sourceCount += part.meta.sourceCount;

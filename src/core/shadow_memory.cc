@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace pmtest::core
 {
 
@@ -12,7 +14,8 @@ ShadowMemory::recordWrite(const AddrRange &range)
     status.hasPersist = true;
     status.persist = Interval::open(timestamp_);
     map_.assign(range, status);
-    openWrites_.assign(range, 1);
+    if (trackOpenWrites_)
+        openWrites_.assign(range, 1);
 }
 
 void
@@ -28,7 +31,8 @@ ShadowMemory::recordWriteBatch(const AddrRange *ranges, size_t n)
     status.hasPersist = true;
     status.persist = Interval::open(timestamp_);
     map_.assignBatch(ranges, n, status);
-    openWrites_.assignBatch(ranges, n, uint8_t{1});
+    if (trackOpenWrites_)
+        openWrites_.assignBatch(ranges, n, uint8_t{1});
 }
 
 ClwbScan
@@ -65,7 +69,8 @@ ShadowMemory::recordClwb(const AddrRange &range)
     // Open a flush interval over the range while preserving persist
     // intervals. Subranges with no prior status get a flush-only entry
     // so double flushes of unmodified data are still detectable.
-    std::vector<std::pair<AddrRange, RangeStatus>> updated;
+    auto &updated = clwbUpdates_;
+    updated.clear();
     uint64_t pos = range.addr;
     map_.forEachOverlap(range, [&](const auto &entry) {
         if (entry.start > pos) {
@@ -87,8 +92,8 @@ ShadowMemory::recordClwb(const AddrRange &range)
         gap.flush = Interval::open(timestamp_);
         updated.emplace_back(AddrRange(pos, range.end() - pos), gap);
     }
-    for (auto &[r, s] : updated)
-        map_.assign(r, std::move(s));
+    for (const auto &[r, s] : updated)
+        map_.assign(r, s);
 
     pendingFlushes_.assign(range, 1);
 }
@@ -121,6 +126,11 @@ ShadowMemory::completePendingFlushes()
 void
 ShadowMemory::completeAllWrites()
 {
+    // Without tracking the set is empty, and walking it would leave
+    // every persist interval open: a silently wrong verdict.
+    if (!trackOpenWrites_)
+        panic("ShadowMemory::completeAllWrites without open-write "
+              "tracking");
     scratch_.clear();
     openWrites_.forEach([&](const auto &open) {
         scratch_.push_back(

@@ -45,12 +45,23 @@ struct ClwbScan
  * The per-trace shadow memory. Checked traces are independent: each
  * check starts from a pristine shadow. Engines reuse one instance
  * across traces via reset(), which restores the pristine state while
- * keeping the interval maps' flat storage allocated — steady-state
- * checking performs no shadow allocations.
+ * keeping the interval maps' flat storage and the staging buffers
+ * allocated — steady-state checking performs no shadow allocations.
  */
 class ShadowMemory
 {
   public:
+    /**
+     * @param track_open_writes keep the written-since-dfence set that
+     *        completeAllWrites() needs (the HOPS dfence rule). Models
+     *        without a dfence pass false and skip that bookkeeping on
+     *        every write; the persistency status itself is the same.
+     */
+    explicit ShadowMemory(bool track_open_writes = true)
+        : trackOpenWrites_(track_open_writes)
+    {
+    }
+
     /**
      * Restore the pristine (start-of-trace) state. Equivalent to
      * constructing a fresh instance except that the backing storage
@@ -111,9 +122,13 @@ class ShadowMemory
 
     /**
      * Close the persist intervals of ALL writes recorded so far at the
-     * current epoch (the HOPS dfence rule).
+     * current epoch (the HOPS dfence rule). Panics on a shadow built
+     * without open-write tracking, which has no record of them.
      */
     void completeAllWrites();
+
+    /** Whether the written-since-dfence set is kept. */
+    bool tracksOpenWrites() const { return trackOpenWrites_; }
 
     /**
      * Whether every persist interval overlapping @p range is closed by
@@ -156,10 +171,14 @@ class ShadowMemory
      */
     size_t pendingFlushCount() const { return pendingFlushes_.size(); }
 
-    /** Number of distinct written-since-dfence ranges (HOPS). */
+    /**
+     * Number of distinct written-since-dfence ranges (HOPS); always 0
+     * without open-write tracking.
+     */
     size_t openWriteCount() const { return openWrites_.size(); }
 
   private:
+    bool trackOpenWrites_;
     Epoch timestamp_ = 0;
     IntervalMap<RangeStatus> map_;
     /**
@@ -168,7 +187,12 @@ class ShadowMemory
      * accumulate within an epoch.
      */
     IntervalMap<uint8_t> pendingFlushes_;
-    /** Ranges written since the last dfence (HOPS bookkeeping). */
+    /**
+     * Ranges written since the last dfence. HOPS-only: read solely by
+     * completeAllWrites(), and left empty (never assigned) unless
+     * trackOpenWrites_ is set, so x86 and ARM checking pays nothing
+     * for it.
+     */
     IntervalMap<uint8_t> openWrites_;
     /**
      * Reused staging buffer for the fence-completion walks: the
@@ -177,6 +201,12 @@ class ShadowMemory
      * overlap walk instead of one binary search per entry.
      */
     std::vector<AddrRange> scratch_;
+    /**
+     * Reused staging buffer for recordClwb(): the updated entries are
+     * collected during the overlap walk (which must not mutate map_)
+     * and assigned afterwards, without a fresh allocation per clwb.
+     */
+    std::vector<std::pair<AddrRange, RangeStatus>> clwbUpdates_;
 };
 
 } // namespace pmtest::core

@@ -75,7 +75,7 @@ enum class Stage : uint8_t
     IngestDecode,      ///< decoder team: one claimed chunk of traces
     IngestSubmit,      ///< decoder flushing a batch into the pool
     EngineCheck,       ///< Engine::check — one trace through the kernel
-    ReportMerge,       ///< merging a per-trace report into the aggregate
+    ReportMerge,       ///< folding per-trace reports into the aggregate
     ReportCanonicalize,///< sorting the merged report into canonical order
     SourceOpen,        ///< opening/validating one trace source (file)
     HintReplay,        ///< replaying one patched trace to verify a hint
@@ -99,7 +99,7 @@ enum class Counter : uint8_t
     TracesDecoded,   ///< traces decoded from a file
     TracesChecked,   ///< traces through Engine::check
     OpsChecked,      ///< PM ops through Engine::check
-    ReportsMerged,   ///< per-trace reports merged into aggregates
+    ReportsMerged,   ///< per-trace reports collected by the pool
     SourcesIngested, ///< trace sources drained to End by ingest()
     HintsSynthesized,///< findings recorded with a valid FixHint
     HintsVerified,   ///< hints whose patched replay came back clean

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,70 @@ TEST(EnginePoolStressTest, TakeResultsLosesNothingUnderConcurrentSubmit)
 
     EXPECT_EQ(observed, kProducers * kTracesPerProducer);
     EXPECT_EQ(pool.results().failCount(), 0u); // everything was taken
+}
+
+TEST(EnginePoolStressTest, InterleavedTakesReturnEachFindingOnceInOrder)
+{
+    // Takes fold the pending per-trace reports at drain. Racing with
+    // concurrent submitters (single and batched, clean and failing
+    // traces), every finding must come back from exactly one take,
+    // and since every trace comes from file 0, each take must already
+    // be in canonical (traceId, opIndex) order.
+    constexpr size_t kProducers = 4;
+    constexpr size_t kTracesPerProducer = 300;
+    constexpr size_t kFailuresPerTrace = 3;
+
+    EnginePool pool(ModelKind::X86, 3);
+    std::atomic<size_t> producers_done{0};
+    std::vector<std::thread> producers;
+    size_t expected = 0;
+    for (size_t p = 0; p < kProducers; p++) {
+        for (size_t i = 0; i < kTracesPerProducer; i++)
+            expected += i % 5 == 0 ? 0 : kFailuresPerTrace;
+        producers.emplace_back([&, p] {
+            std::vector<Trace> batch;
+            for (size_t i = 0; i < kTracesPerProducer; i++) {
+                Trace t = traceWithFailures(
+                    p * 1000 + i, i % 5 == 0 ? 0 : kFailuresPerTrace);
+                if (p % 2 == 0) {
+                    pool.submit(std::move(t));
+                    continue;
+                }
+                batch.push_back(std::move(t));
+                if (batch.size() == 8) {
+                    pool.submitBatch(std::move(batch));
+                    batch.clear();
+                }
+            }
+            pool.submitBatch(std::move(batch));
+            producers_done.fetch_add(1, std::memory_order_relaxed);
+        });
+    }
+
+    std::map<std::pair<uint64_t, size_t>, size_t> seen;
+    const auto take = [&] {
+        const Report r = pool.takeResults();
+        const auto &f = r.findings();
+        EXPECT_TRUE(std::is_sorted(
+            f.begin(), f.end(), [](const Finding &a, const Finding &b) {
+                if (a.traceId != b.traceId)
+                    return a.traceId < b.traceId;
+                return a.opIndex < b.opIndex;
+            }));
+        for (const Finding &finding : f)
+            seen[{finding.traceId, finding.opIndex}]++;
+    };
+    while (producers_done.load(std::memory_order_relaxed) < kProducers)
+        take();
+    for (auto &t : producers)
+        t.join();
+    take();
+
+    EXPECT_EQ(seen.size(), expected);
+    for (const auto &[id, count] : seen)
+        EXPECT_EQ(count, 1u) << "trace " << id.first << " op "
+                             << id.second;
+    EXPECT_TRUE(pool.takeResults().clean());
 }
 
 TEST(EnginePoolStressTest, GiantTraceDoesNotHoldBackSmallTraces)

@@ -281,6 +281,34 @@ TEST(EngineTest, HopsEngineChecksHopsTraces)
     EXPECT_TRUE(report.clean()) << report.str();
 }
 
+TEST(EngineTest, OnlyHopsEngineTracksOpenWrites)
+{
+    // The written-since-dfence set serves the HOPS dfence alone: x86
+    // and ARM engines must not build it, a HOPS engine must. The
+    // writes are both single (per-op) and batched runs.
+    const auto writes = makeTrace({
+        PmOp::write(0x10, 8),
+        PmOp::isPersist(0x10, 8),
+        PmOp::write(0x100, 8),
+        PmOp::write(0x200, 8),
+        PmOp::write(0x300, 8),
+    });
+    for (const ModelKind kind : {ModelKind::X86, ModelKind::Arm}) {
+        Engine engine(kind);
+        EXPECT_FALSE(engine.model().needsOpenWrites());
+        EXPECT_FALSE(engine.shadow().tracksOpenWrites());
+        engine.check(writes);
+        EXPECT_EQ(engine.shadow().entryCount(), 4u);
+        EXPECT_EQ(engine.shadow().openWriteCount(), 0u)
+            << engine.model().name();
+    }
+    Engine hops(ModelKind::Hops);
+    EXPECT_TRUE(hops.model().needsOpenWrites());
+    EXPECT_TRUE(hops.shadow().tracksOpenWrites());
+    hops.check(writes);
+    EXPECT_EQ(hops.shadow().openWriteCount(), 4u);
+}
+
 TEST(EngineTest, FindingCarriesLocation)
 {
     Engine engine(ModelKind::X86);

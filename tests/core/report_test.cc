@@ -48,6 +48,59 @@ TEST(ReportTest, MergeAppends)
     EXPECT_EQ(a.findings().size(), 2u);
 }
 
+TEST(ReportTest, MoveMergeTakesFindingsAndArenas)
+{
+    const auto arena_a = std::make_shared<const std::deque<std::string>>(
+        std::deque<std::string>{"a.cc"});
+    const auto arena_b = std::make_shared<const std::deque<std::string>>(
+        std::deque<std::string>{"b.cc"});
+    Report into, first, second;
+    first.add(finding(Severity::Fail, FindingKind::NotPersisted,
+                      arena_a->front().c_str(), 1));
+    first.holdArena(arena_a);
+    second.add(finding(Severity::Warn, FindingKind::DuplicateLog,
+                       arena_b->front().c_str(), 2));
+    second.add(finding(Severity::Fail, FindingKind::MissingLog,
+                       arena_b->front().c_str(), 3));
+    second.holdArena(arena_b);
+
+    into.merge(std::move(first));
+    into.merge(std::move(second));
+    ASSERT_EQ(into.findings().size(), 3u);
+    EXPECT_EQ(into.findings()[0].loc.line, 1u);
+    EXPECT_EQ(into.findings()[2].loc.line, 3u);
+    ASSERT_EQ(into.arenas().size(), 2u);
+    EXPECT_EQ(into.arenas()[0], arena_a);
+    EXPECT_EQ(into.arenas()[1], arena_b);
+    // The sources are emptied: nothing is held twice.
+    EXPECT_TRUE(first.clean());
+    EXPECT_TRUE(second.clean());
+    EXPECT_TRUE(first.arenas().empty());
+    EXPECT_TRUE(second.arenas().empty());
+    EXPECT_EQ(arena_b.use_count(), 2); // arena_b + into
+}
+
+TEST(ReportTest, CanonicalizeIsStableAndIdempotent)
+{
+    // (opIndex, line): equal op indexes keep their detection order.
+    Report r;
+    const std::pair<size_t, uint32_t> order[] = {
+        {5, 1}, {2, 2}, {5, 3}, {9, 4}};
+    for (const auto &[op, line] : order) {
+        Finding f = finding(Severity::Fail, FindingKind::NotPersisted,
+                            "a", line);
+        f.opIndex = op;
+        r.add(f);
+    }
+    const uint32_t expected[] = {2, 1, 3, 4};
+    for (int pass = 0; pass < 2; pass++) { // the second is a no-op
+        r.canonicalize();
+        ASSERT_EQ(r.findings().size(), 4u);
+        for (size_t i = 0; i < 4; i++)
+            EXPECT_EQ(r.findings()[i].loc.line, expected[i]) << i;
+    }
+}
+
 TEST(ReportTest, SummaryDeduplicatesBySite)
 {
     Report r;

@@ -160,7 +160,7 @@ TEST(ShadowMemoryTest, DuplicateWritesCoalesceOpenWriteBookkeeping)
 {
     // The HOPS dfence path keeps written-since-dfence ranges; writing
     // the same word in a loop must not grow that set.
-    ShadowMemory shadow;
+    ShadowMemory shadow(/*track_open_writes=*/true);
     for (int i = 0; i < 1000; i++)
         shadow.recordWrite(AddrRange(0x40, 8));
     EXPECT_EQ(shadow.openWriteCount(), 1u);
@@ -202,6 +202,83 @@ TEST(ShadowMemoryTest, CompleteAllWritesClosesEverything)
     const auto b = shadow.persistIntervals(AddrRange(64, 8));
     EXPECT_EQ(a[0].second, Interval(0, 2));
     EXPECT_EQ(b[0].second, Interval(1, 2));
+}
+
+TEST(ShadowMemoryTest, NonTrackingShadowKeepsNoOpenWrites)
+{
+    // Without tracking, writes update the persistency status exactly
+    // as before but leave the written-since-dfence set empty.
+    ShadowMemory shadow(/*track_open_writes=*/false);
+    EXPECT_FALSE(shadow.tracksOpenWrites());
+    shadow.recordWrite(AddrRange(0x40, 8));
+    const AddrRange batch[] = {AddrRange(0x100, 8), AddrRange(0x200, 8)};
+    shadow.recordWriteBatch(batch, 2);
+    EXPECT_EQ(shadow.openWriteCount(), 0u);
+    EXPECT_EQ(shadow.entryCount(), 3u);
+    EXPECT_FALSE(shadow.allPersisted(AddrRange(0x40, 8)));
+    EXPECT_TRUE(shadow.anyWrite(AddrRange(0x200, 8)));
+}
+
+TEST(ShadowMemoryDeathTest, CompleteAllWritesWithoutTrackingPanics)
+{
+    // A dfence on a shadow that never recorded its writes would leave
+    // every persist interval open; it must stop, not pass wrongly.
+    ShadowMemory shadow(/*track_open_writes=*/false);
+    shadow.recordWrite(AddrRange(0x40, 8));
+    shadow.bumpTimestamp();
+    EXPECT_DEATH(shadow.completeAllWrites(), "open-write tracking");
+}
+
+/** Ranges have no operator==; compare their "[addr,end)" text. */
+void
+expectRange(const AddrRange &actual, uint64_t addr, uint64_t size)
+{
+    EXPECT_EQ(actual.str(), AddrRange(addr, size).str());
+}
+
+TEST(ShadowMemoryTest, ClwbOverGapEntriesAndPartialEdge)
+{
+    // One clwb starting inside an entry, spanning a gap, two entries
+    // and a trailing gap: the prefix of the first entry keeps only
+    // its persist interval, each overlapped piece gains an open flush
+    // interval, and each gap becomes a flush-only entry. Repeated
+    // after a fence, so the second pass runs on the reused buffer.
+    for (int round = 0; round < 2; round++) {
+        ShadowMemory shadow;
+        shadow.recordWrite(AddrRange(0x100, 0x10));
+        shadow.recordWrite(AddrRange(0x120, 0x10));
+        shadow.recordWrite(AddrRange(0x130, 0x8));
+        ASSERT_EQ(shadow.entryCount(), 3u);
+
+        shadow.recordClwb(AddrRange(0x108, 0x38));
+        // [100,108) [108,110) [110,120) [120,130) [130,138) [138,140)
+        EXPECT_EQ(shadow.entryCount(), 6u);
+        EXPECT_EQ(shadow.pendingFlushCount(), 1u);
+
+        const auto persists = shadow.persistIntervals(AddrRange(0, 0x200));
+        ASSERT_EQ(persists.size(), 4u);
+        expectRange(persists[0].first, 0x100, 0x8);
+        expectRange(persists[1].first, 0x108, 0x8);
+        expectRange(persists[2].first, 0x120, 0x10);
+        expectRange(persists[3].first, 0x130, 0x8);
+
+        // The untouched prefix has no flush; the gaps have one.
+        EXPECT_FALSE(shadow.scanClwb(AddrRange(0x100, 0x8)).redundant);
+        const ClwbScan gap = shadow.scanClwb(AddrRange(0x110, 0x10));
+        EXPECT_TRUE(gap.redundant);
+        EXPECT_TRUE(gap.unmodified);
+        EXPECT_TRUE(shadow.scanClwb(AddrRange(0x138, 0x8)).redundant);
+        expectRange(shadow.unflushedSpan(AddrRange(0, 0x200)), 0x100,
+                    0x8);
+
+        shadow.bumpTimestamp();
+        shadow.completePendingFlushes();
+        AddrRange open;
+        EXPECT_FALSE(shadow.allPersisted(AddrRange(0x100, 0x40), &open));
+        expectRange(open, 0x100, 0x8);
+        EXPECT_TRUE(shadow.allPersisted(AddrRange(0x108, 0x38)));
+        EXPECT_EQ(shadow.entryCount(), 6u);
+    }
 }
 
 } // namespace
