@@ -4,13 +4,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
-
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <utility>
 
 #include "core/engine_pool.hh"
 #include "core/fix_verify.hh"
@@ -93,8 +89,8 @@ rejectDuplicates(const std::vector<std::string> &files,
  * Thread counts resolved with the usual precedence: explicit flag
  * beats PMTEST_WORKERS / PMTEST_DECODERS, which beat the
  * hardware-derived layout (see util/cpu.hh). Both the session (to
- * size its pool) and the coordinator (to print the header the
- * sequential run would print) resolve through here.
+ * size its pool) and the merge (to print the header the sequential
+ * run would print) resolve through here.
  */
 void
 resolveThreads(const CheckPlan &plan, size_t *workers,
@@ -113,7 +109,7 @@ resolveThreads(const CheckPlan &plan, size_t *workers,
  * workerIndex of an N-way shardTraceSource split; for a file set,
  * files j with j % N == workerIndex, keeping fileId = j. Shard slices
  * partition the sequential input exactly, which is what makes the
- * merged distributed report byte-identical. Also the re-open path of
+ * merged report byte-identical. Also the re-open path of
  * the fix-hints replay pass, which needs identical fileId
  * assignment. A worker past the end of a short split legitimately
  * has nothing to do: *empty is set and nullptr returned with no
@@ -263,21 +259,31 @@ emitFindingEvents(obs::EventLog &log, const Report &merged)
     }
 }
 
-/** The stdout report: header line plus summary or finding list. */
+/** The header's name for the input set: the path, or "N files". */
+std::string
+inputLabel(const CheckPlan &plan)
+{
+    return plan.inputs.size() == 1
+               ? plan.inputs[0]
+               : std::to_string(plan.inputs.size()) + " files";
+}
+
+/**
+ * The stdout report: header line (label, totals and model from
+ * @p meta) plus summary or finding list.
+ */
 void
-printReportStdout(const CheckPlan &plan, size_t traces, size_t ops,
+printReportStdout(const CheckPlan &plan, const ReportMeta &meta,
                   size_t workers, const Report &merged)
 {
     if (plan.quiet)
         return;
-    const std::string display =
-        plan.inputs.size() == 1
-            ? plan.inputs[0]
-            : std::to_string(plan.inputs.size()) + " files";
-    std::printf("%s: %zu traces, %zu PM operations, model=%s, "
+    std::printf("%s: %llu traces, %llu PM operations, model=%s, "
                 "%zu workers\n",
-                display.c_str(), traces, ops,
-                makeModel(plan.model)->name(), workers);
+                meta.label.c_str(),
+                static_cast<unsigned long long>(meta.traceCount),
+                static_cast<unsigned long long>(meta.totalOps),
+                makeModel(meta.model)->name(), workers);
     if (plan.summary) {
         std::printf("%s", merged.summaryStr().c_str());
         return;
@@ -299,12 +305,12 @@ printReportStdout(const CheckPlan &plan, size_t traces, size_t ops,
  * Write the unified metrics snapshot: run identity, verdict counts,
  * the shared pool/ingest stats rendering, and the telemetry section
  * (counters, per-stage latency histograms, span accounting). Worker
- * and coordinator runs tag themselves ("worker": "i/N",
- * "distribute": N).
+ * runs tag themselves ("worker": "i/N"); a merge names its input by
+ * the parts' label.
  */
 bool
-writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
-                size_t workers, size_t sources, const Report &merged,
+writeMetricsDoc(const CheckPlan &plan, const ReportMeta &meta,
+                size_t workers, const Report &merged,
                 const PoolStats &stats)
 {
     std::string joined;
@@ -317,18 +323,15 @@ writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
     w.beginObject();
     w.member("schema", "pmtest-metrics-v1");
     w.member("tool", plan.tool.c_str());
-    w.member("trace_file", joined);
-    w.member("model", makeModel(plan.model)->name());
-    w.member("traces", traces);
-    w.member("ops", ops);
+    w.member("trace_file", plan.merge ? meta.label : joined);
+    w.member("model", makeModel(meta.model)->name());
+    w.member("traces", meta.traceCount);
+    w.member("ops", meta.totalOps);
     w.member("workers", workers);
-    w.member("sources", sources);
+    w.member("sources", meta.sourceCount);
     if (plan.workerCount > 0)
         w.member("worker", std::to_string(plan.workerIndex) + "/" +
                                std::to_string(plan.workerCount));
-    if (plan.distribute > 0)
-        w.member("distribute",
-                 static_cast<uint64_t>(plan.distribute));
     w.key("verdict").beginObject();
     w.member("fail", merged.failCount());
     w.member("warn", merged.warnCount());
@@ -346,6 +349,25 @@ writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
         return false;
     }
     return true;
+}
+
+/**
+ * Close a run's audit trail: the finding events, then run_stop with
+ * the verdict totals. @return the verdict exit code (0/1).
+ */
+int
+emitVerdictEvents(SessionServices &services, const ReportMeta &meta,
+                  const Report &merged)
+{
+    const int exit_code = merged.failCount() == 0 ? 0 : 1;
+    emitFindingEvents(services.eventLog(), merged);
+    services.emitRunStop(exit_code, [&](JsonWriter &w) {
+        w.member("traces", meta.traceCount);
+        w.member("ops", meta.totalOps);
+        w.member("fail", merged.failCount());
+        w.member("warn", merged.warnCount());
+    });
+    return exit_code;
 }
 
 volatile std::sig_atomic_t g_linger_stop = 0;
@@ -376,6 +398,63 @@ lingerUntilSignalled(obs::MetricsService &service)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
+/**
+ * The gather: load every worker report named by plan.inputs, fold
+ * them with mergeReports (which fails closed on an incomplete or
+ * inconsistent part set), and render the sequential run's output.
+ * The header's worker count resolves the way the plain run's does,
+ * so the same --workers= prints the same bytes.
+ */
+int
+runMerge(const CheckPlan &plan)
+{
+    std::vector<WorkerReport> parts(plan.inputs.size());
+    std::string error;
+    for (size_t i = 0; i < parts.size(); i++) {
+        parts[i].path = plan.inputs[i];
+        if (!loadReportFile(plan.inputs[i], &parts[i].report,
+                            &parts[i].meta, &error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 2;
+        }
+    }
+    Report merged;
+    ReportMeta meta;
+    if (!mergeReports(std::move(parts), &merged, &meta, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+    }
+
+    size_t workers = 0, decoders = 0;
+    resolveThreads(plan, &workers, &decoders);
+
+    SessionServices services;
+    obs::ServiceOptions service_options;
+    service_options.tool = plan.tool;
+    service_options.metricsPort = plan.metricsPort;
+    service_options.intervalMs = plan.metricsIntervalMs;
+    service_options.progress = plan.progress;
+    service_options.eventLogPath = plan.eventLogPath;
+    if (!services.start(std::move(service_options), &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 2;
+    }
+    services.emitRunStart(plan.tool.c_str(), [&](JsonWriter &w) {
+        w.member("model", makeModel(meta.model)->name());
+        w.member("inputs", plan.inputs.size());
+        w.member("workers", workers);
+        w.member("decoders", decoders);
+    });
+
+    printReportStdout(plan, meta, workers, merged);
+    if (!plan.metricsJsonPath.empty() &&
+        !writeMetricsDoc(plan, meta, workers, merged, PoolStats{}))
+        return 2;
+    const int exit_code = emitVerdictEvents(services, meta, merged);
+    services.stop();
+    return exit_code;
+}
+
 } // namespace
 
 bool
@@ -403,34 +482,34 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
     if (!rejectDuplicates(inputs, &expand_error))
         return input_error(expand_error);
 
-    if (workerCount > 0 && distribute > 0)
-        return usage_error(
-            "--worker and --distribute are mutually exclusive");
+    if (merge) {
+        // A merge checks nothing itself: the per-process surfaces
+        // belong to the worker runs.
+        const std::pair<bool, const char *> per_process[] = {
+            {workerCount > 0, "--worker"},
+            {!reportOutPath.empty(), "--report-out"},
+            {fixHints, "--fix-hints"},
+            {showStats, "--stats"},
+            {!traceEventsPath.empty(), "--trace-events"},
+            {metricsLinger, "--metrics-linger"}};
+        for (const auto &[set, flag] : per_process) {
+            if (set)
+                return usage_error(
+                    std::string("--merge cannot combine with ") + flag);
+        }
+    }
     if (workerCount > 0) {
         if (workerIndex >= workerCount)
             return usage_error(
                 "--worker index out of range (want i/N with i < N)");
         if (reportOutPath.empty())
             return usage_error("--worker needs --report-out=FILE");
-    }
-    if (workerCount > 0 || distribute > 0) {
-        const char *mode =
-            workerCount > 0 ? "--worker" : "--distribute";
         if (fixHints)
-            return usage_error(std::string(mode) +
-                               " cannot combine with --fix-hints");
+            return usage_error(
+                "--worker cannot combine with --fix-hints");
         if (metricsLinger)
-            return usage_error(std::string(mode) +
-                               " cannot combine with "
-                               "--metrics-linger");
-    }
-    if (distribute > 0) {
-        if (showStats)
-            return usage_error("--stats is per-process; not "
-                               "supported with --distribute");
-        if (!traceEventsPath.empty())
-            return usage_error("--trace-events is per-process; not "
-                               "supported with --distribute");
+            return usage_error(
+                "--worker cannot combine with --metrics-linger");
     }
     return true;
 }
@@ -492,10 +571,17 @@ CheckSession::run()
     size_t workers = 0, decoders = 0;
     resolveThreads(plan, &workers, &decoders);
 
-    const size_t trace_count = source ? source->traceCount() : 0;
-    const size_t total_ops =
-        source ? static_cast<size_t>(source->totalOps()) : 0;
-    const size_t source_count = source ? source->sourceCount() : 0;
+    // The run's identity: the stdout header, the metrics document and
+    // the wire report all read it, so a merge of worker reports can
+    // print what this run prints.
+    ReportMeta meta;
+    meta.workerIndex = plan.workerIndex;
+    meta.workerCount = plan.workerCount;
+    meta.traceCount = source ? source->traceCount() : 0;
+    meta.totalOps = source ? source->totalOps() : 0;
+    meta.sourceCount = source ? source->sourceCount() : 0;
+    meta.model = plan.model;
+    meta.label = inputLabel(plan);
 
     Report merged;
     PoolStats stats;
@@ -601,16 +687,9 @@ CheckSession::run()
         }
     }
 
-    // A worker's stdout belongs to the coordinator; its report goes
-    // out as pmtest-report-v1 wire bytes instead.
+    // A worker prints nothing; its report goes out as
+    // pmtest-report-v2 wire bytes for a later --merge.
     if (!plan.reportOutPath.empty()) {
-        ReportMeta meta;
-        meta.workerIndex = plan.workerIndex;
-        meta.workerCount = plan.workerCount;
-        meta.traceCount = trace_count;
-        meta.totalOps = total_ops;
-        meta.sourceCount = source_count;
-        meta.model = plan.model;
         std::string error;
         if (!saveReportFile(plan.reportOutPath, merged, meta,
                             &error)) {
@@ -620,8 +699,7 @@ CheckSession::run()
     }
 
     if (!worker_mode) {
-        printReportStdout(plan, trace_count, total_ops, pool_workers,
-                          merged);
+        printReportStdout(plan, meta, pool_workers, merged);
         // An explicit --stats request wins over --quiet.
         if (plan.showStats) {
             if (source && source->sourceCount() > 1)
@@ -633,9 +711,7 @@ CheckSession::run()
     // The machine-readable outputs are files; they are written
     // whatever the stdout flags say.
     if (!plan.metricsJsonPath.empty()) {
-        if (!writeMetricsDoc(plan, trace_count, total_ops,
-                             pool_workers, source_count, merged,
-                             stats))
+        if (!writeMetricsDoc(plan, meta, pool_workers, merged, stats))
             return 2;
     }
     if (!plan.traceEventsPath.empty()) {
@@ -647,17 +723,9 @@ CheckSession::run()
         }
     }
 
-    const int exit_code = merged.failCount() == 0 ? 0 : 1;
-
     // Findings go out after the fix-hints replay so hint_verified is
     // final; run_stop closes the audit trail.
-    emitFindingEvents(services.eventLog(), merged);
-    services.emitRunStop(exit_code, [&](JsonWriter &w) {
-        w.member("traces", trace_count);
-        w.member("ops", total_ops);
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-    });
+    const int exit_code = emitVerdictEvents(services, meta, merged);
 
     if (plan.metricsLinger)
         lingerUntilSignalled(services.service());
@@ -666,234 +734,10 @@ CheckSession::run()
 }
 
 int
-runDistributedCheck(const CheckPlan &plan)
-{
-    const uint32_t n = static_cast<uint32_t>(plan.distribute);
-    const bool keep_reports = !plan.reportOutPath.empty();
-    const std::string base =
-        keep_reports
-            ? plan.reportOutPath
-            : (fs::temp_directory_path() /
-               ("pmtest-report-" + std::to_string(getpid())))
-                  .string();
-    std::vector<std::string> report_paths;
-    report_paths.reserve(n);
-    for (uint32_t i = 0; i < n; i++)
-        report_paths.push_back(base + "." + std::to_string(i));
-
-    const auto cleanup = [&] {
-        if (keep_reports)
-            return;
-        for (const auto &path : report_paths) {
-            std::error_code ec;
-            fs::remove(path, ec);
-        }
-    };
-
-    // The event-log exit-2 contract must hold before any worker is
-    // spawned; MetricsService itself can only start after the forks
-    // (it owns threads, and fork-without-exec must not clone them).
-    if (!plan.eventLogPath.empty() && plan.eventLogPath != "-") {
-        std::FILE *probe =
-            std::fopen(plan.eventLogPath.c_str(), "a");
-        if (!probe) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         plan.eventLogPath.c_str());
-            return 2;
-        }
-        std::fclose(probe);
-    }
-
-    // Scatter: fork every worker while this process is still
-    // single-threaded.
-    const char *fail_env = std::getenv("PMTEST_WORKER_FAIL");
-    const long fail_index =
-        fail_env ? std::strtol(fail_env, nullptr, 10) : -1;
-    std::fflush(stdout);
-    std::fflush(stderr);
-    std::vector<pid_t> pids;
-    pids.reserve(n);
-    for (uint32_t i = 0; i < n; i++) {
-        const pid_t pid = fork();
-        if (pid < 0) {
-            std::fprintf(stderr, "fork failed for worker %u/%u\n", i,
-                         n);
-            for (const pid_t started : pids)
-                waitpid(started, nullptr, 0);
-            cleanup();
-            return 2;
-        }
-        if (pid == 0) {
-            // Worker child: a fault-injection hook for the CI
-            // worker-death leg, then the shard session.
-            if (fail_index == static_cast<long>(i))
-                raise(SIGKILL);
-            CheckPlan worker = plan;
-            worker.workerIndex = i;
-            worker.workerCount = n;
-            worker.distribute = 0;
-            worker.reportOutPath = report_paths[i];
-            worker.quiet = true;
-            worker.showStats = false;
-            worker.metricsPort = -1;
-            worker.progress = false;
-            worker.metricsLinger = false;
-            worker.eventLogPath.clear();
-            worker.metricsJsonPath.clear();
-            worker.traceEventsPath.clear();
-            CheckSession session(worker);
-            std::_Exit(session.run());
-        }
-        pids.push_back(pid);
-        obs::count(obs::Counter::WorkersSpawned);
-    }
-
-    size_t workers = 0, decoders = 0;
-    resolveThreads(plan, &workers, &decoders);
-
-    SessionServices services;
-    obs::ServiceOptions service_options;
-    service_options.tool = plan.tool;
-    service_options.metricsPort = plan.metricsPort;
-    service_options.intervalMs = plan.metricsIntervalMs;
-    service_options.progress = plan.progress;
-    service_options.eventLogPath = plan.eventLogPath;
-    std::string service_error;
-    if (!services.start(std::move(service_options),
-                        &service_error)) {
-        std::fprintf(stderr, "%s\n", service_error.c_str());
-        for (const pid_t pid : pids)
-            waitpid(pid, nullptr, 0);
-        cleanup();
-        return 2;
-    }
-    services.emitRunStart(plan.tool.c_str(), [&](JsonWriter &w) {
-        w.member("model", makeModel(plan.model)->name());
-        w.member("inputs", plan.inputs.size());
-        w.member("workers", workers);
-        w.member("decoders", decoders);
-        w.member("distribute", static_cast<uint64_t>(n));
-    });
-    for (uint32_t i = 0; i < n; i++) {
-        services.eventLog().emit(
-            obs::EventSeverity::Info, "worker.spawn",
-            [&](JsonWriter &w) {
-                w.member("worker", static_cast<uint64_t>(i));
-                w.member("of", static_cast<uint64_t>(n));
-                w.member("pid",
-                         static_cast<int64_t>(pids[i]));
-                w.member("report", report_paths[i]);
-            });
-    }
-
-    // Gather: reap every worker; {0,1} are the verdict exit codes, so
-    // anything else — or a signal — is a failed shard.
-    std::vector<std::string> failures;
-    for (uint32_t i = 0; i < n; i++) {
-        int status = 0;
-        const pid_t reaped = waitpid(pids[i], &status, 0);
-        int exit_code = -1;
-        int signal_no = 0;
-        bool ok = false;
-        if (reaped == pids[i] && WIFEXITED(status)) {
-            exit_code = WEXITSTATUS(status);
-            ok = exit_code == 0 || exit_code == 1;
-        } else if (reaped == pids[i] && WIFSIGNALED(status)) {
-            signal_no = WTERMSIG(status);
-        }
-        services.eventLog().emit(
-            ok ? obs::EventSeverity::Info
-               : obs::EventSeverity::Error,
-            "worker.exit", [&](JsonWriter &w) {
-                w.member("worker", static_cast<uint64_t>(i));
-                w.member("of", static_cast<uint64_t>(n));
-                w.member("pid", static_cast<int64_t>(pids[i]));
-                w.member("ok", ok);
-                w.member("exit_code", exit_code);
-                w.member("signal", signal_no);
-            });
-        if (!ok) {
-            obs::count(obs::Counter::WorkersFailed);
-            std::string what =
-                "worker " + std::to_string(i) + "/" +
-                std::to_string(n) + " (pid " +
-                std::to_string(pids[i]) + ") ";
-            what += signal_no != 0
-                        ? "killed by signal " +
-                              std::to_string(signal_no)
-                        : "exited with status " +
-                              std::to_string(exit_code);
-            failures.push_back(std::move(what));
-        }
-    }
-    if (!failures.empty()) {
-        for (const auto &what : failures)
-            std::fprintf(stderr, "distributed check failed: %s\n",
-                         what.c_str());
-        services.emitRunStop(2);
-        cleanup();
-        services.stop();
-        return 2;
-    }
-
-    std::vector<WorkerReport> parts(n);
-    for (uint32_t i = 0; i < n; i++) {
-        std::string error;
-        if (!loadReportFile(report_paths[i], &parts[i].report,
-                            &parts[i].meta, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            services.emitRunStop(2);
-            cleanup();
-            services.stop();
-            return 2;
-        }
-    }
-    Report merged;
-    ReportMeta totals;
-    mergeReports(std::move(parts), &merged, &totals);
-    if (keep_reports) {
-        std::string error;
-        if (!saveReportFile(plan.reportOutPath, merged, totals,
-                            &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            services.emitRunStop(2);
-            services.stop();
-            return 2;
-        }
-    }
-    cleanup();
-
-    const size_t traces =
-        static_cast<size_t>(totals.traceCount);
-    const size_t ops = static_cast<size_t>(totals.totalOps);
-    printReportStdout(plan, traces, ops, workers, merged);
-    if (!plan.metricsJsonPath.empty()) {
-        if (!writeMetricsDoc(plan, traces, ops, workers,
-                             plan.inputs.size(), merged,
-                             PoolStats{})) {
-            services.emitRunStop(2);
-            services.stop();
-            return 2;
-        }
-    }
-
-    const int exit_code = merged.failCount() == 0 ? 0 : 1;
-    emitFindingEvents(services.eventLog(), merged);
-    services.emitRunStop(exit_code, [&](JsonWriter &w) {
-        w.member("traces", traces);
-        w.member("ops", ops);
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-    });
-    services.stop();
-    return exit_code;
-}
-
-int
 runCheckTool(const CheckPlan &plan)
 {
-    if (plan.distribute > 0)
-        return runDistributedCheck(plan);
+    if (plan.merge)
+        return runMerge(plan);
     CheckSession session(plan);
     return session.run();
 }

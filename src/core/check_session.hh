@@ -14,24 +14,18 @@
  *  - **Worker** (`--worker=i/N --report-out=FILE`): run shard i of an
  *    N-way split of the input set — the byte-balanced index slices of
  *    a single trace file, or files j with j % N == i of a multi-file
- *    set (fileId = j preserved) — and emit a `pmtest-report-v1` wire
- *    report instead of stdout output.
+ *    set (fileId = j preserved) — and emit a `pmtest-report-v2` wire
+ *    report instead of stdout output. Any scheduler may run the N
+ *    workers, on one host or many.
  *  - **Plain**: worker 0 of 1 — the whole input set, with the report
  *    on stdout.
- *  - **Coordinator** (`--distribute=N`): fork N worker processes,
- *    gather their wire reports, mergeReports() them, and print
- *    exactly what the sequential run prints — the canonical report is
- *    byte-identical because shard slices partition the input and
- *    canonicalize() is order-independent. Worker lifecycle is
- *    observable: worker.spawn / worker.exit events in the event log
- *    and workers_spawned / workers_failed telemetry counters. A
- *    worker that dies (signal, or exit status other than the 0/1
- *    verdict codes) fails the whole run with exit 2, naming the
- *    shard.
- *
- * Forking discipline: the coordinator forks all workers *before*
- * starting any service thread (metrics publisher, scrape server), so
- * a fork never clones a thread holding a lock.
+ *  - **Merge** (`--merge PART...`): load the N worker reports,
+ *    mergeReports() them, and print exactly what the sequential run
+ *    prints — the canonical report is byte-identical because shard
+ *    slices partition the input and canonicalize() is
+ *    order-independent. An incomplete or inconsistent part set (a
+ *    missing, duplicate, foreign or corrupt part) fails with exit 2,
+ *    naming the part.
  */
 
 #ifndef PMTEST_CORE_CHECK_SESSION_HH
@@ -83,22 +77,27 @@ struct CheckPlan
     bool progress = false;
     bool metricsLinger = false;
 
-    // Distributed checking.
+    // Scatter/gather checking.
     uint32_t workerIndex = 0;
     uint32_t workerCount = 0; ///< > 0 = run as shard workerIndex/N
-    size_t distribute = 0;    ///< > 0 = coordinator forking N workers
     /**
-     * Worker mode: where the wire report goes (required). Coordinator
-     * mode: optional — keeps the per-worker reports at PATH.<i> and
-     * writes the merged wire report to PATH. Plain mode: optional —
-     * serializes the final report to PATH.
+     * The inputs are worker wire reports to gather, not traces; the
+     * model, input label and totals come from the parts.
+     */
+    bool merge = false;
+    /**
+     * Worker mode: where the wire report goes (required). Plain mode:
+     * optional — serializes the final report to PATH.
      */
     std::string reportOutPath;
 
     /** Raw positional arguments (files or directories). */
     std::vector<std::string> inputArgs;
 
-    /** Expanded input files; filled by finalize(). */
+    /**
+     * Expanded input files (report parts under merge); filled by
+     * finalize().
+     */
     std::vector<std::string> inputs;
 
     /**
@@ -149,8 +148,8 @@ class SessionServices
 
 /**
  * One in-process checking run over a finalized plan (plain or worker
- * shape; coordinator plans go through runDistributedCheck). run()
- * owns the whole lifecycle and every output surface.
+ * shape; merge plans go through runCheckTool). run() owns the whole
+ * lifecycle and every output surface.
  */
 class CheckSession
 {
@@ -168,14 +167,10 @@ class CheckSession
 };
 
 /**
- * Coordinator: scatter the plan across plan.distribute forked worker
- * processes, gather and merge their wire reports, and print the
- * sequential run's byte-identical output. @return the merged verdict
- * (0/1), or 2 when a worker failed or a report was unreadable.
+ * Dispatch a finalized plan to its run shape. @return the verdict
+ * (0/1), or 2 on input/IO errors — for a merge, also on any part set
+ * mergeReports rejects.
  */
-int runDistributedCheck(const CheckPlan &plan);
-
-/** Dispatch a finalized plan to its run shape. */
 int runCheckTool(const CheckPlan &plan);
 
 } // namespace pmtest::core

@@ -143,9 +143,12 @@ void
 encodeReport(const Report &report, const ReportMeta &meta,
              std::string *out)
 {
-    // Intern every message and source-file name up front so the
-    // string table precedes the findings in the body.
+    // Intern the label, every message and every source-file name up
+    // front so the string table precedes the findings in the body.
     StringTable table;
+    const uint32_t label_idx = meta.label.empty()
+                                   ? ReportWire::kNoString
+                                   : table.intern(meta.label);
     std::vector<uint32_t> msg_idx, file_idx;
     msg_idx.reserve(report.findings().size());
     file_idx.reserve(report.findings().size());
@@ -165,7 +168,7 @@ encodeReport(const Report &report, const ReportMeta &meta,
     putU64(&body, meta.totalOps);
     putU64(&body, meta.sourceCount);
     putU32(&body, static_cast<uint32_t>(meta.model));
-    putU32(&body, 0); // reserved
+    putU32(&body, label_idx);
 
     putU32(&body, static_cast<uint32_t>(table.entries.size()));
     for (const std::string_view s : table.entries) {
@@ -248,13 +251,13 @@ decodeReport(const void *data, size_t len, Report *report,
 
     Reader b{body, static_cast<size_t>(body_len)};
     ReportMeta parsed_meta;
-    uint32_t model = 0, meta_reserved = 0;
+    uint32_t model = 0, label_idx = 0;
     if (!b.u32(&parsed_meta.workerIndex) ||
         !b.u32(&parsed_meta.workerCount) ||
         !b.u64(&parsed_meta.traceCount) ||
         !b.u64(&parsed_meta.totalOps) ||
         !b.u64(&parsed_meta.sourceCount) || !b.u32(&model) ||
-        !b.u32(&meta_reserved))
+        !b.u32(&label_idx))
         return failDecode(error, "report truncated (meta)");
     if (model > kMaxModel)
         return failDecode(error, "bad model in report");
@@ -276,6 +279,11 @@ decodeReport(const void *data, size_t len, Report *report,
         arena->emplace_back(
             reinterpret_cast<const char *>(b.data + b.pos), slen);
         b.pos += slen;
+    }
+    if (label_idx != ReportWire::kNoString) {
+        if (label_idx >= arena->size())
+            return failDecode(error, "bad string index in report");
+        parsed_meta.label = (*arena)[label_idx];
     }
 
     uint64_t finding_count = 0;
@@ -340,7 +348,7 @@ decodeReport(const void *data, size_t len, Report *report,
     parsed.holdArena(std::move(arena));
     *report = std::move(parsed);
     if (meta)
-        *meta = parsed_meta;
+        *meta = std::move(parsed_meta);
     return true;
 }
 
@@ -396,29 +404,81 @@ loadReportFile(const std::string &path, Report *report,
     return true;
 }
 
-void
+bool
 mergeReports(std::vector<WorkerReport> parts, Report *merged,
-             ReportMeta *meta)
+             ReportMeta *meta, std::string *error)
 {
+    const auto fail = [&](std::string message) {
+        if (error)
+            *error = std::move(message);
+        return false;
+    };
+    if (parts.empty())
+        return fail("no report parts to merge");
+    const WorkerReport &first = parts.front();
+    const uint32_t n = first.meta.workerCount;
+    for (const WorkerReport &part : parts) {
+        const ReportMeta &m = part.meta;
+        if (m.workerCount == 0)
+            return fail(part.path +
+                        ": a plain report, not a --worker part");
+        if (m.workerCount != n)
+            return fail(part.path + ": part of a " +
+                        std::to_string(m.workerCount) +
+                        "-way split, but " + first.path +
+                        " is of a " + std::to_string(n) + "-way split");
+        if (m.model != first.meta.model)
+            return fail(part.path + ": model " +
+                        makeModel(m.model)->name() + ", but " +
+                        first.path + " has model " +
+                        makeModel(first.meta.model)->name());
+        if (m.label != first.meta.label)
+            return fail(part.path + ": input '" + m.label + "', but " +
+                        first.path + " has input '" +
+                        first.meta.label + "'");
+        if (m.workerIndex >= n)
+            return fail(part.path + ": worker index " +
+                        std::to_string(m.workerIndex) +
+                        " out of range for " + std::to_string(n) +
+                        " parts");
+    }
+
     std::stable_sort(parts.begin(), parts.end(),
                      [](const WorkerReport &a, const WorkerReport &b) {
                          return a.meta.workerIndex <
                                 b.meta.workerIndex;
                      });
+    for (size_t i = 1; i < parts.size(); i++) {
+        if (parts[i].meta.workerIndex == parts[i - 1].meta.workerIndex)
+            return fail(parts[i].path + ": duplicate part " +
+                        std::to_string(parts[i].meta.workerIndex) +
+                        "/" + std::to_string(n) + " (also in " +
+                        parts[i - 1].path + ")");
+    }
+    // Sorted and duplicate-free: index i sits at position i until
+    // the first gap.
+    for (uint32_t i = 0; i < n; i++) {
+        if (i >= parts.size() || parts[i].meta.workerIndex != i)
+            return fail("missing part " + std::to_string(i) + "/" +
+                        std::to_string(n));
+    }
+
     Report out;
     ReportMeta totals;
-    totals.workerCount = static_cast<uint32_t>(parts.size());
+    totals.workerCount = n;
+    totals.model = parts.front().meta.model;
+    totals.label = parts.front().meta.label;
     for (WorkerReport &part : parts) {
         out.merge(std::move(part.report));
         totals.traceCount += part.meta.traceCount;
         totals.totalOps += part.meta.totalOps;
         totals.sourceCount += part.meta.sourceCount;
-        totals.model = part.meta.model;
     }
     out.canonicalize();
     *merged = std::move(out);
     if (meta)
-        *meta = totals;
+        *meta = std::move(totals);
+    return true;
 }
 
 } // namespace pmtest::core

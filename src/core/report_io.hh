@@ -1,24 +1,22 @@
 /**
  * @file
- * Report serialization: the `pmtest-report-v1` wire format that lets
+ * Report serialization: the `pmtest-report-v2` wire format that lets
  * a checking session's canonical Report cross a process (or machine)
- * boundary — the missing piece between "sharded runs are
- * byte-identical in one process" and distributed scatter/gather
- * checking. A `pmtest_check --worker=i/N` process serializes its
- * shard's report with saveReportFile; the coordinator parses every
- * worker file with loadReportFile and folds them with mergeReports
- * into the exact canonical report a sequential single-process run
- * prints.
+ * boundary. A `pmtest_check --worker=i/N` process serializes its
+ * shard's report with saveReportFile; `pmtest_check --merge PART...`
+ * parses every part with loadReportFile and folds them with
+ * mergeReports into the exact canonical report a sequential
+ * single-process run prints.
  *
  * Wire format (little-endian, versioned, CRC-checked like trace v2):
  *
- *   file   := magic u64, version u32 (=1), reserved u32,
+ *   file   := magic u64, version u32 (=2), reserved u32,
  *             body_len u64, body[body_len], body_crc32 u32,
  *             footer_magic u64
  *   body   := meta, string_table, finding*
  *   meta   := worker_index u32, worker_count u32, trace_count u64,
  *             total_ops u64, source_count u64, model u32,
- *             reserved u32
+ *             label_idx u32
  *   string_table := count u32, (len u32, bytes)*
  *   finding := severity u8, kind u8, hint_action u8, hint_flags u8,
  *              msg_idx u32, loc_file_idx u32, loc_line u32,
@@ -28,9 +26,11 @@
  *              hint_flush_op u8, hint_fence_op u8, reserved u16,
  *              hint_count u32
  *
- * Messages and source-file names are interned in the string table;
+ * Messages, source-file names and the run's input label (the header
+ * name: the path, or "N files") are interned in the string table;
  * kNoString marks an absent entry. hint_flags packs withFlush
- * (bit 0) and verified (bit 1).
+ * (bit 0) and verified (bit 1). Version 1 lacked the label and is
+ * rejected.
  *
  * Fail-closed parsing: decodeReport validates the magics, the exact
  * length accounting (body_len must match the input size to the
@@ -63,7 +63,7 @@ struct ReportWire
     /** Trailing footer magic ("PMR1END."). */
     static constexpr uint64_t kFooterMagic = 0x2e444e4531524d50ULL;
     /** The only version this build writes and reads. */
-    static constexpr uint32_t kVersion = 1;
+    static constexpr uint32_t kVersion = 2;
     /** magic u64 + version u32 + reserved u32 + body_len u64. */
     static constexpr size_t kHeaderBytes = 24;
     /** body_crc32 u32 + footer_magic u64. */
@@ -74,17 +74,19 @@ struct ReportWire
 
 /**
  * Run identity and source totals carried alongside the findings, so
- * the coordinator can reconstruct the sequential run's header line
- * (traces, ops, sources) without reopening any input.
+ * a merge can reconstruct the sequential run's header line (input
+ * label, traces, ops, model) without reopening any input.
  */
 struct ReportMeta
 {
     uint32_t workerIndex = 0;
-    uint32_t workerCount = 0; ///< 0 = not a distributed worker
+    uint32_t workerCount = 0; ///< 0 = a plain report, not a part
     uint64_t traceCount = 0;
     uint64_t totalOps = 0;
     uint64_t sourceCount = 0;
     ModelKind model = ModelKind::X86;
+    /** The whole input set's header name: the path, or "N files". */
+    std::string label;
 };
 
 /** Serialize @p report + @p meta, appending the framed bytes to @p out. */
@@ -116,17 +118,23 @@ struct WorkerReport
 {
     Report report;
     ReportMeta meta;
+    /** Where the part came from; names it in merge errors. */
+    std::string path;
 };
 
 /**
- * Fold gathered worker reports into one canonical report. The parts
- * are ordered by workerIndex before merging, so any gather order
- * produces byte-identical canonical output; totals (traces, ops,
- * sources) sum, and the merged meta's workerCount reports the number
- * of parts folded.
+ * Fold the parts of one N-way worker split into one canonical
+ * report. Fails closed unless the parts are exactly worker reports
+ * 0..N-1 of the same split: every part has the same workerCount N
+ * (> 0), model and label, and each index appears once. On success
+ * the parts are ordered by workerIndex before merging, so any gather
+ * order produces byte-identical canonical output; totals (traces,
+ * ops, sources) sum, and the merged meta carries N, the model and
+ * the label. @return false with @p error naming the offending part
+ * (or the missing index) and the outputs untouched.
  */
-void mergeReports(std::vector<WorkerReport> parts, Report *merged,
-                  ReportMeta *meta);
+bool mergeReports(std::vector<WorkerReport> parts, Report *merged,
+                  ReportMeta *meta, std::string *error = nullptr);
 
 } // namespace pmtest::core
 

@@ -78,10 +78,6 @@ counterName(Counter counter)
         return "watchdog_stalls";
       case Counter::MetricsScrapes:
         return "metrics_scrapes";
-      case Counter::WorkersSpawned:
-        return "workers_spawned";
-      case Counter::WorkersFailed:
-        return "workers_failed";
     }
     return "unknown";
 }

@@ -107,12 +107,10 @@ enum class Counter : uint8_t
     OracleStatesCovered,///< crash states those verdicts account for
     OracleMemoHits,     ///< verdicts served from the predicate memo
     WatchdogStalls,     ///< stall episodes the metrics watchdog flagged
-    MetricsScrapes,     ///< /metrics + /metrics.json requests served
-    WorkersSpawned,     ///< distributed-check worker processes forked
-    WorkersFailed       ///< workers that exited abnormally (status > 1)
+    MetricsScrapes      ///< /metrics + /metrics.json requests served
 };
 
-inline constexpr size_t kCounterCount = 20;
+inline constexpr size_t kCounterCount = 18;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);

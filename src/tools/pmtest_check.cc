@@ -9,13 +9,14 @@
  * Run shapes:
  *  - plain: check the inputs in this process (the historical tool);
  *  - `--worker=i/N --report-out=FILE`: run shard i of an N-way split
- *    and emit a `pmtest-report-v1` wire report instead of stdout;
- *  - `--distribute=N`: fork N workers, gather and merge their wire
- *    reports, and print exactly what the sequential run prints.
+ *    and emit a `pmtest-report-v2` wire report instead of stdout;
+ *  - `--merge PART...`: gather the N worker reports of one split and
+ *    print exactly what the sequential run prints.
  *
  * Exit status: 0 when no FAIL findings, 1 when crash-consistency
  * bugs were found, 2 on usage/input errors (malformed flags,
- * unreadable or duplicate inputs, decode failures, failed workers).
+ * unreadable or duplicate inputs, decode failures, a missing,
+ * duplicate, inconsistent or corrupt report part).
  */
 
 #include <charconv>
@@ -109,10 +110,10 @@ main(int argc, char **argv)
                 "keep the scrape endpoint up after the run");
     cli.addString("--worker", &worker_spec,
                   "run shard i of N; needs --report-out", "i/N");
-    cli.addSize("--distribute", &plan.distribute,
-                "fork N workers and merge their reports", 1);
+    cli.addFlag("--merge", &plan.merge,
+                "inputs are --worker reports: gather and print them");
     cli.addString("--report-out", &plan.reportOutPath,
-                  "write the pmtest-report-v1 wire report to FILE");
+                  "write the pmtest-report-v2 wire report to FILE");
     cli.positionalCount(1);
 
     const CliStatus status = cli.parse(argc, argv, &plan.inputArgs);

@@ -2,7 +2,7 @@
  * @file
  * The check-session layer: CheckPlan validation (exit-2 semantics
  * for flag combinations, input errors without the usage hint) and
- * the worker/sequential equivalence at the heart of distributed
+ * the worker/sequential equivalence at the heart of scatter/gather
  * checking — N in-process worker-shaped sessions merge to the exact
  * findings of one plain session over the seed corpus.
  */
@@ -104,28 +104,22 @@ TEST(CheckPlanTest, WorkerModeValidation)
     bad_index.reportOutPath = "r.bin";
     EXPECT_FALSE(bad_index.finalize(&error, &usage));
     EXPECT_NE(error.find("out of range"), std::string::npos);
-
-    CheckPlan both = quietPlan(path);
-    both.workerCount = 2;
-    both.distribute = 2;
-    both.reportOutPath = "r.bin";
-    EXPECT_FALSE(both.finalize(&error, &usage));
-    EXPECT_NE(error.find("mutually exclusive"), std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST(CheckPlanTest, DistributeRejectsPerProcessSurfaces)
+TEST(CheckPlanTest, MergeRejectsPerProcessSurfaces)
 {
-    const std::string path = corpusFile("plan_dist.trace");
+    const std::string path = corpusFile("plan_merge.part");
     const auto expectRejected = [&](void (*tweak)(CheckPlan &),
                                     const char *needle) {
         CheckPlan plan = quietPlan(path);
-        plan.distribute = 2;
+        plan.merge = true;
         tweak(plan);
         std::string error;
         bool usage = false;
         EXPECT_FALSE(plan.finalize(&error, &usage)) << needle;
-        EXPECT_NE(error.find(needle), std::string::npos) << error;
+        EXPECT_EQ(error,
+                  std::string("--merge cannot combine with ") + needle);
         EXPECT_TRUE(usage);
     };
     expectRejected([](CheckPlan &p) { p.fixHints = true; },
@@ -136,6 +130,19 @@ TEST(CheckPlanTest, DistributeRejectsPerProcessSurfaces)
                    "--stats");
     expectRejected([](CheckPlan &p) { p.traceEventsPath = "t.json"; },
                    "--trace-events");
+    expectRejected(
+        [](CheckPlan &p) {
+            p.workerCount = 2;
+            p.reportOutPath = "r.bin";
+        },
+        "--worker");
+    expectRejected([](CheckPlan &p) { p.reportOutPath = "r.bin"; },
+                   "--report-out");
+
+    CheckPlan ok = quietPlan(path);
+    ok.merge = true;
+    std::string error;
+    EXPECT_TRUE(ok.finalize(&error)) << error;
     std::remove(path.c_str());
 }
 
@@ -218,9 +225,13 @@ TEST(CheckSessionTest, WorkerShardsMergeToTheSequentialReport)
 
     Report merged;
     ReportMeta merged_meta;
-    mergeReports(std::move(parts), &merged, &merged_meta);
+    ASSERT_TRUE(mergeReports(std::move(parts), &merged, &merged_meta,
+                             &error))
+        << error;
     EXPECT_EQ(merged_meta.traceCount, seq_meta.traceCount);
     EXPECT_EQ(merged_meta.totalOps, seq_meta.totalOps);
+    EXPECT_EQ(merged_meta.label, path);
+    EXPECT_EQ(merged_meta.label, seq_meta.label);
 
     // Byte-level equivalence of the findings + string table: encode
     // both under a normalized meta (workerCount legitimately differs

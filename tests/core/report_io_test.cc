@@ -1,10 +1,11 @@
 /**
  * @file
- * The pmtest-report-v1 wire format: lossless round-trips for every
+ * The pmtest-report-v2 wire format: lossless round-trips for every
  * finding kind and fix-hint shape, fail-closed parsing under
- * truncation and bit flips at every byte position, and gather-order
- * independence of mergeReports — the properties distributed
- * scatter/gather checking leans on.
+ * truncation, bit flips at every byte position and a version-1
+ * header, gather-order independence of mergeReports, and its
+ * refusal of any incomplete or inconsistent part set — the
+ * properties `pmtest_check --merge` leans on.
  */
 
 #include "core/report_io.hh"
@@ -15,6 +16,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "trace/trace_io.hh"
 
 namespace pmtest::core
 {
@@ -107,6 +110,7 @@ sampleMeta()
     m.totalOps = 48;
     m.sourceCount = 3;
     m.model = ModelKind::Arm;
+    m.label = "3 files";
     return m;
 }
 
@@ -150,6 +154,7 @@ TEST(ReportIoTest, RoundTripEveryKindAndHint)
     EXPECT_EQ(decoded_meta.totalOps, meta.totalOps);
     EXPECT_EQ(decoded_meta.sourceCount, meta.sourceCount);
     EXPECT_EQ(decoded_meta.model, meta.model);
+    EXPECT_EQ(decoded_meta.label, meta.label);
 }
 
 TEST(ReportIoTest, DecodedReportIsSelfContained)
@@ -181,6 +186,7 @@ TEST(ReportIoTest, EmptyReportRoundTrips)
         << error;
     EXPECT_TRUE(decoded.clean());
     EXPECT_EQ(meta.workerCount, 0u);
+    EXPECT_TRUE(meta.label.empty());
 }
 
 TEST(ReportIoTest, ReencodeOfDecodeIsByteIdentical)
@@ -250,6 +256,44 @@ TEST(ReportIoTest, TrailingBytesRejected)
     EXPECT_EQ(error, "report length mismatch");
 }
 
+TEST(ReportIoTest, VersionOneHeaderRejected)
+{
+    std::string wire;
+    encodeReport(sampleReport(), sampleMeta(), &wire);
+    // The version word follows the 8-byte magic.
+    wire[8] = 1;
+    wire[9] = wire[10] = wire[11] = 0;
+    Report sink;
+    std::string error;
+    EXPECT_FALSE(
+        decodeReport(wire.data(), wire.size(), &sink, nullptr, &error));
+    EXPECT_EQ(error, "unsupported report version");
+    EXPECT_TRUE(sink.clean());
+}
+
+TEST(ReportIoTest, LabelIndexOutOfRangeRejected)
+{
+    std::string wire;
+    encodeReport(sampleReport(), sampleMeta(), &wire);
+    // label_idx is the meta's last word; re-seal the body CRC so the
+    // index check, not the CRC, must catch it.
+    const size_t label_at = ReportWire::kHeaderBytes + 36;
+    const size_t body_len = wire.size() - ReportWire::kHeaderBytes -
+                            ReportWire::kFooterBytes;
+    wire[label_at] = wire[label_at + 1] = wire[label_at + 2] = 0x7f;
+    wire[label_at + 3] = 0;
+    const uint32_t crc =
+        crc32(wire.data() + ReportWire::kHeaderBytes, body_len);
+    for (int i = 0; i < 4; i++)
+        wire[ReportWire::kHeaderBytes + body_len + i] =
+            static_cast<char>((crc >> (8 * i)) & 0xff);
+    Report sink;
+    std::string error;
+    EXPECT_FALSE(
+        decodeReport(wire.data(), wire.size(), &sink, nullptr, &error));
+    EXPECT_EQ(error, "bad string index in report");
+}
+
 TEST(ReportIoTest, ForeignBytesRejectedWithReason)
 {
     const std::string junk(64, 'x');
@@ -311,6 +355,8 @@ splitIntoWorkers(size_t n)
         parts[w].meta.totalOps = 10 * (w + 1);
         parts[w].meta.sourceCount = 1;
         parts[w].meta.model = ModelKind::X86;
+        parts[w].meta.label = "big.trace";
+        parts[w].path = "part." + std::to_string(w);
     }
     for (size_t i = 0; i < whole.findings().size(); i++)
         parts[i % n].report.add(whole.findings()[i]);
@@ -322,7 +368,7 @@ TEST(ReportIoTest, MergeIsGatherOrderIndependent)
     std::vector<WorkerReport> ordered = splitIntoWorkers(3);
     Report baseline_report;
     ReportMeta baseline_meta;
-    mergeReports(ordered, &baseline_report, &baseline_meta);
+    ASSERT_TRUE(mergeReports(ordered, &baseline_report, &baseline_meta));
     std::string baseline;
     encodeReport(baseline_report, baseline_meta, &baseline);
 
@@ -334,7 +380,7 @@ TEST(ReportIoTest, MergeIsGatherOrderIndependent)
             shuffled.push_back(splitIntoWorkers(3)[i]);
         Report merged;
         ReportMeta meta;
-        mergeReports(std::move(shuffled), &merged, &meta);
+        ASSERT_TRUE(mergeReports(std::move(shuffled), &merged, &meta));
         std::string wire;
         encodeReport(merged, meta, &wire);
         EXPECT_EQ(wire, baseline)
@@ -346,8 +392,9 @@ TEST(ReportIoTest, MergeSumsTotalsAndCanonicalizes)
 {
     Report merged;
     ReportMeta meta;
-    mergeReports(splitIntoWorkers(3), &merged, &meta);
+    ASSERT_TRUE(mergeReports(splitIntoWorkers(3), &merged, &meta));
     EXPECT_EQ(meta.workerCount, 3u);
+    EXPECT_EQ(meta.label, "big.trace");
     EXPECT_EQ(meta.traceCount, 1u + 2 + 3);
     EXPECT_EQ(meta.totalOps, 10u + 20 + 30);
     EXPECT_EQ(meta.sourceCount, 3u);
@@ -364,7 +411,7 @@ TEST(ReportIoTest, MergeSumsTotalsAndCanonicalizes)
 
 TEST(ReportIoTest, MergeRoundTripsThroughTheWire)
 {
-    // The actual coordinator path: encode each part, decode, merge.
+    // The --merge path: encode each part, decode, merge.
     std::vector<WorkerReport> parts = splitIntoWorkers(2);
     std::vector<WorkerReport> gathered;
     for (const WorkerReport &part : parts) {
@@ -377,12 +424,87 @@ TEST(ReportIoTest, MergeRoundTripsThroughTheWire)
     }
     Report direct, via_wire;
     ReportMeta direct_meta, wire_meta;
-    mergeReports(std::move(parts), &direct, &direct_meta);
-    mergeReports(std::move(gathered), &via_wire, &wire_meta);
+    ASSERT_TRUE(mergeReports(std::move(parts), &direct, &direct_meta));
+    ASSERT_TRUE(
+        mergeReports(std::move(gathered), &via_wire, &wire_meta));
     std::string a, b;
     encodeReport(direct, direct_meta, &a);
     encodeReport(via_wire, wire_meta, &b);
     EXPECT_EQ(a, b);
+}
+
+/**
+ * mergeReports must refuse @p parts with an error containing
+ * @p needle, leaving both outputs untouched.
+ */
+void
+expectMergeRejected(std::vector<WorkerReport> parts,
+                    const std::string &needle)
+{
+    Report merged;
+    merged.add(finding(Severity::Warn, FindingKind::DuplicateLog,
+                       "sentinel.cc", 1, "sentinel", 0, 0, 0));
+    ReportMeta meta;
+    meta.traceCount = 999;
+    std::string error;
+    EXPECT_FALSE(mergeReports(std::move(parts), &merged, &meta, &error))
+        << needle;
+    EXPECT_EQ(error.find(needle), 0u) << error;
+    EXPECT_EQ(merged.findings().size(), 1u) << needle;
+    EXPECT_EQ(meta.traceCount, 999u) << needle;
+}
+
+TEST(ReportIoTest, MergeRejectsAMissingPart)
+{
+    std::vector<WorkerReport> parts = splitIntoWorkers(4);
+    parts.erase(parts.begin() + 2);
+    expectMergeRejected(parts, "missing part 2/4");
+    parts.pop_back(); // the last index too
+    expectMergeRejected(parts, "missing part 2/4");
+    expectMergeRejected({}, "no report parts to merge");
+}
+
+TEST(ReportIoTest, MergeRejectsADuplicatePart)
+{
+    std::vector<WorkerReport> parts = splitIntoWorkers(3);
+    parts[2].meta.workerIndex = 1;
+    expectMergeRejected(parts,
+                        "part.2: duplicate part 1/3 (also in part.1)");
+}
+
+TEST(ReportIoTest, MergeRejectsPartsOfDifferentSplits)
+{
+    std::vector<WorkerReport> parts = splitIntoWorkers(3);
+    parts[1].meta.workerCount = 2;
+    expectMergeRejected(parts, "part.1: part of a 2-way split, but "
+                               "part.0 is of a 3-way split");
+
+    parts = splitIntoWorkers(3);
+    parts[2].meta.workerIndex = 5;
+    expectMergeRejected(parts,
+                        "part.2: worker index 5 out of range for 3");
+}
+
+TEST(ReportIoTest, MergeRejectsMixedModelsAndLabels)
+{
+    std::vector<WorkerReport> parts = splitIntoWorkers(3);
+    parts[1].meta.model = ModelKind::Hops;
+    expectMergeRejected(parts,
+                        "part.1: model hops, but part.0 has model x86");
+
+    parts = splitIntoWorkers(3);
+    parts[2].meta.label = "other.trace";
+    expectMergeRejected(parts, "part.2: input 'other.trace', but "
+                               "part.0 has input 'big.trace'");
+}
+
+TEST(ReportIoTest, MergeRejectsAPlainReport)
+{
+    std::vector<WorkerReport> parts = splitIntoWorkers(2);
+    parts[1].meta.workerIndex = 0;
+    parts[1].meta.workerCount = 0;
+    expectMergeRejected(parts,
+                        "part.1: a plain report, not a --worker part");
 }
 
 } // namespace

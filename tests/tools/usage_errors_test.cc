@@ -85,14 +85,15 @@ TEST(UsageErrorsTest, CheckRejectsBadDistributedSpecs)
                      "out of range");
     expectUsageError(bin, "--worker=0/2 x.trace",
                      "--worker needs --report-out=FILE");
-    expectUsageError(bin, "--distribute=abc x.trace",
-                     "invalid value for --distribute: 'abc'");
-    expectUsageError(bin,
-                     "--distribute=2 --worker=0/2 --report-out=r "
-                     "x.trace",
-                     "mutually exclusive");
-    expectUsageError(bin, "--distribute=2 --stats x.trace",
-                     "--stats is per-process");
+    expectUsageError(bin, "--merge --worker=0/2 --report-out=r x.part",
+                     "--merge cannot combine with --worker");
+    expectUsageError(bin, "--merge --stats x.part",
+                     "--merge cannot combine with --stats");
+    expectUsageError(bin, "--merge=1 x.part",
+                     "--merge takes no value");
+    // There is no in-host coordinator: --merge gathers the parts.
+    expectUsageError(bin, "--distribute=2 x.trace",
+                     "unknown option '--distribute=2'");
 }
 
 TEST(UsageErrorsTest, CheckHasNoIngestOrShardsFlag)
