@@ -27,53 +27,8 @@ class Framework
     {
     }
 
-    /** Pending batched traces must reach the pool before it drains. */
-    ~Framework() { flushBatches(); }
-
     const Config &config() const { return config_; }
     core::EnginePool &enginePool() { return pool_; }
-
-    /**
-     * Submit one sealed trace, honoring Config::traceBatch: small
-     * traces accumulate in a per-thread buffer and go to the pool as
-     * one dispatch unit.
-     */
-    void
-    submitSealed(Trace trace)
-    {
-        if (config_.traceBatch <= 1) {
-            pool_.submit(std::move(trace));
-            return;
-        }
-        ThreadBatch &batch = threadBatch();
-        std::vector<Trace> full;
-        {
-            std::lock_guard<std::mutex> lock(batch.mutex);
-            batch.traces.push_back(std::move(trace));
-            if (batch.traces.size() >= config_.traceBatch)
-                full = std::move(batch.traces);
-        }
-        if (!full.empty())
-            pool_.submitBatch(std::move(full));
-    }
-
-    /** Push every thread's batched traces into the pool. */
-    void
-    flushBatches()
-    {
-        if (config_.traceBatch <= 1)
-            return;
-        std::lock_guard<std::mutex> lock(captureMutex_);
-        for (auto &batch : batches_) {
-            std::vector<Trace> pending;
-            {
-                std::lock_guard<std::mutex> bl(batch->mutex);
-                pending = std::move(batch->traces);
-            }
-            if (!pending.empty())
-                pool_.submitBatch(std::move(pending));
-        }
-    }
 
     /** Get or create the calling thread's capture. */
     TraceCapture &
@@ -133,34 +88,11 @@ class Framework
     std::mutex traceSinkMutex;
 
   private:
-    /** One thread's not-yet-submitted sealed traces. */
-    struct ThreadBatch
-    {
-        std::mutex mutex;
-        std::vector<Trace> traces;
-    };
-
-    /** Get or create the calling thread's batch buffer. */
-    ThreadBatch &
-    threadBatch()
-    {
-        thread_local ThreadBatch *tls = nullptr;
-        thread_local uint64_t tls_generation = 0;
-        if (tls == nullptr || tls_generation != generation_) {
-            std::lock_guard<std::mutex> lock(captureMutex_);
-            batches_.push_back(std::make_unique<ThreadBatch>());
-            tls = batches_.back().get();
-            tls_generation = generation_;
-        }
-        return *tls;
-    }
-
     Config config_;
     uint64_t generation_ = 0;
     core::EnginePool pool_;
     std::mutex captureMutex_;
     std::vector<std::unique_ptr<TraceCapture>> captures_;
-    std::vector<std::unique_ptr<ThreadBatch>> batches_;
     std::mutex varMutex_;
     std::unordered_map<std::string, std::pair<const void *, size_t>> vars_;
 };
@@ -309,7 +241,7 @@ pmtestSendTrace()
         fw->traceSink(cap.seal());
         return;
     }
-    fw->submitSealed(cap.seal());
+    fw->enginePool().submit(cap.seal());
 }
 
 void
@@ -328,7 +260,6 @@ pmtestGetResult()
     Framework *fw = framework();
     if (!fw)
         return;
-    fw->flushBatches();
     fw->enginePool().drain();
 }
 
@@ -357,7 +288,6 @@ pmtestResults()
     Framework *fw = framework();
     if (!fw)
         return core::Report();
-    fw->flushBatches();
     return fw->enginePool().results();
 }
 
@@ -367,7 +297,6 @@ pmtestClearResults()
     Framework *fw = framework();
     if (!fw)
         return;
-    fw->flushBatches();
     fw->enginePool().clearResults();
 }
 

@@ -37,12 +37,6 @@ struct Config
     core::ModelKind model = core::ModelKind::X86;
     /** Engine worker threads; 0 checks traces inline (ablation). */
     size_t workers = 1;
-    /**
-     * Seal-side batching: sealed traces accumulate per thread and are
-     * submitted N at a time as one dispatch unit, amortizing queue
-     * locking for workloads that seal many small traces. 1 disables.
-     */
-    size_t traceBatch = 1;
 };
 
 /** @{ Framework lifecycle (paper: PMTest_INIT / PMTest_EXIT). */

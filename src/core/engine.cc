@@ -58,9 +58,6 @@ Engine::check(const Trace &trace)
 
     tracesChecked_++;
     report.stampIdentity();
-    // The report owns the trace's string arena from here on, so its
-    // finding locations outlive the trace and any reader/loader.
-    report.holdArena(trace.arena());
     return report;
 }
 

@@ -92,7 +92,7 @@ EnginePool::recordResult(Report report)
     {
         std::lock_guard<std::mutex> lock(resultMutex_);
         // Only a push under the lock; the merge waits for the drain.
-        // A clean report has no findings, so it needs no arena either.
+        // A clean report has no findings, so it is not kept.
         if (!report.clean())
             pending_.push_back(std::move(report));
         completed_++;

@@ -86,18 +86,14 @@ Report::merge(const Report &other)
 {
     findings_.insert(findings_.end(), other.findings().begin(),
                      other.findings().end());
-    for (const auto &arena : other.arenas_)
-        holdArena(arena);
 }
 
 void
 Report::merge(Report &&other)
 {
-    // Taking the vectors into locals frees other's storage on return.
+    // Taking the vector into a local frees other's storage on return.
     std::vector<Finding> findings = std::move(other.findings_);
-    std::vector<Arena> arenas = std::move(other.arenas_);
     other.findings_.clear();
-    other.arenas_.clear();
     // Steal the buffer unless ours is already big enough (a caller
     // that reserved for a whole fold keeps its one allocation).
     if (findings_.empty() && findings_.capacity() < findings.size()) {
@@ -107,8 +103,6 @@ Report::merge(Report &&other)
                          std::make_move_iterator(findings.begin()),
                          std::make_move_iterator(findings.end()));
     }
-    for (auto &arena : arenas)
-        holdArena(std::move(arena));
 }
 
 void
@@ -118,19 +112,6 @@ Report::stampIdentity()
         f.traceId = traceId_;
         f.fileId = fileId_;
     }
-}
-
-void
-Report::holdArena(Arena arena)
-{
-    if (!arena)
-        return;
-    // Consecutive findings usually come from the same trace; skipping
-    // the immediate duplicate keeps the common case O(1) without a
-    // set. Occasional repeats are harmless (shared_ptr copies).
-    if (!arenas_.empty() && arenas_.back() == arena)
-        return;
-    arenas_.push_back(std::move(arena));
 }
 
 void
@@ -167,8 +148,9 @@ std::vector<Report::SummaryLine>
 Report::summary() const
 {
     // Key: (severity, kind, file, line). File names come from
-    // __FILE__ literals or a trace arena; compare by content so
-    // findings from reloaded traces group with live ones.
+    // __FILE__ literals or interned names, which can be different
+    // pointers to equal text; compare by content so findings from
+    // reloaded traces group with live ones.
     using Key = std::tuple<int, int, std::string, uint32_t>;
     std::map<Key, SummaryLine> lines;
     for (const auto &f : findings_) {

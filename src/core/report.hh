@@ -11,8 +11,6 @@
 #define PMTEST_CORE_REPORT_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,9 +72,6 @@ struct Finding
 class Report
 {
   public:
-    /** The arena type findings' location strings may point into. */
-    using Arena = std::shared_ptr<const std::deque<std::string>>;
-
     Report() = default;
     explicit Report(uint64_t trace_id, uint32_t file_id = 0)
         : traceId_(trace_id), fileId_(file_id)
@@ -110,11 +105,11 @@ class Report
     /** Id of the input source the checked trace came from. */
     uint32_t fileId() const { return fileId_; }
 
-    /** Merge another report's findings (and held arenas) into this. */
+    /** Merge another report's findings into this. */
     void merge(const Report &other);
 
     /**
-     * Merge by moving: @p other's findings and arenas are moved in
+     * Merge by moving: @p other's findings are moved in
      * and its storage is released, so folding many reports never
      * holds two copies of a finding.
      */
@@ -127,18 +122,6 @@ class Report
      * checked trace so merged reports can be canonicalized.
      */
     void stampIdentity();
-
-    /**
-     * Share ownership of the string arena findings' source-location
-     * file names point into. A Report that holds its traces' arenas
-     * is self-contained: it stays valid after the trace, the reader
-     * and every other pipeline object are gone. Null arenas (live
-     * captures point at static __FILE__ literals) are ignored.
-     */
-    void holdArena(Arena arena);
-
-    /** Arenas this report keeps alive (merge concatenates them). */
-    const std::vector<Arena> &arenas() const { return arenas_; }
 
     /**
      * Reorder findings into the canonical order: stable sort by
@@ -181,7 +164,6 @@ class Report
     uint64_t traceId_ = 0;
     uint32_t fileId_ = 0;
     std::vector<Finding> findings_;
-    std::vector<Arena> arenas_; ///< keeps finding locations alive
 };
 
 } // namespace pmtest::core

@@ -1,11 +1,16 @@
 #include "core/report_io.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "trace/trace_io.hh"
 
@@ -270,20 +275,24 @@ decodeReport(const void *data, size_t len, Report *report,
     // remaining bytes cannot possibly hold before allocating.
     if (string_count > b.remaining() / 4)
         return failDecode(error, "bad string count in report");
-    auto arena = std::make_shared<std::deque<std::string>>();
+    // Views into the input: messages and the label are copied out,
+    // file names are interned the first time a finding uses them.
+    std::vector<std::string_view> strings;
+    strings.reserve(string_count);
     for (uint32_t i = 0; i < string_count; i++) {
         uint32_t slen = 0;
         if (!b.u32(&slen) || slen > b.remaining())
             return failDecode(error,
                               "report truncated (string table)");
-        arena->emplace_back(
+        strings.emplace_back(
             reinterpret_cast<const char *>(b.data + b.pos), slen);
         b.pos += slen;
     }
+    std::vector<const char *> file_names(string_count, nullptr);
     if (label_idx != ReportWire::kNoString) {
-        if (label_idx >= arena->size())
+        if (label_idx >= strings.size())
             return failDecode(error, "bad string index in report");
-        parsed_meta.label = (*arena)[label_idx];
+        parsed_meta.label = strings[label_idx];
     }
 
     uint64_t finding_count = 0;
@@ -316,10 +325,10 @@ decodeReport(const void *data, size_t len, Report *report,
             fence_op > kMaxOpType)
             return failDecode(error, "bad enum value in report");
         if (msg_idx != ReportWire::kNoString &&
-            msg_idx >= arena->size())
+            msg_idx >= strings.size())
             return failDecode(error, "bad string index in report");
         if (file_name_idx != ReportWire::kNoString &&
-            file_name_idx >= arena->size())
+            file_name_idx >= strings.size())
             return failDecode(error, "bad string index in report");
         f.severity = static_cast<Severity>(severity);
         f.kind = static_cast<FindingKind>(kind);
@@ -327,10 +336,13 @@ decodeReport(const void *data, size_t len, Report *report,
         f.hint.withFlush = (flags & kHintWithFlush) != 0;
         f.hint.verified = (flags & kHintVerified) != 0;
         if (msg_idx != ReportWire::kNoString)
-            f.message = (*arena)[msg_idx];
-        f.loc.file = file_name_idx == ReportWire::kNoString
-                         ? ""
-                         : (*arena)[file_name_idx].c_str();
+            f.message = strings[msg_idx];
+        if (file_name_idx != ReportWire::kNoString) {
+            const char *&name = file_names[file_name_idx];
+            if (!name)
+                name = internFileName(strings[file_name_idx]);
+            f.loc.file = name;
+        }
         f.loc.line = line;
         f.fileId = file_id;
         f.traceId = trace_id;
@@ -343,9 +355,7 @@ decodeReport(const void *data, size_t len, Report *report,
     if (b.remaining() != 0)
         return failDecode(error, "trailing bytes in report body");
 
-    // Full success: publish. Findings' loc.file pointers reference
-    // the deque arena, which the report co-owns from here on.
-    parsed.holdArena(std::move(arena));
+    // Full success: publish. Nothing points into the input bytes.
     *report = std::move(parsed);
     if (meta)
         *meta = std::move(parsed_meta);
@@ -376,27 +386,35 @@ bool
 loadReportFile(const std::string &path, Report *report,
                ReportMeta *meta, std::string *error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
         if (error)
             *error = path + ": cannot open";
         return false;
     }
-    std::string bytes;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        bytes.append(buf, n);
-    const bool read_ok = !std::ferror(f);
-    std::fclose(f);
+    // One buffer sized from the file length, filled by one read (the
+    // loop only resumes a short or interrupted read). Parts are
+    // regular files; anything else is a read error.
+    struct stat st {};
+    bool read_ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    const size_t size = read_ok ? static_cast<size_t>(st.st_size) : 0;
+    auto bytes = std::make_unique_for_overwrite<char[]>(size);
+    for (size_t done = 0; read_ok && done < size;) {
+        const ssize_t n = ::read(fd, bytes.get() + done, size - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        read_ok = n > 0;
+        if (read_ok)
+            done += static_cast<size_t>(n);
+    }
+    ::close(fd);
     if (!read_ok) {
         if (error)
             *error = path + ": read error";
         return false;
     }
     std::string reason;
-    if (!decodeReport(bytes.data(), bytes.size(), report, meta,
-                      &reason)) {
+    if (!decodeReport(bytes.get(), size, report, meta, &reason)) {
         if (error)
             *error = path + ": " + reason;
         return false;

@@ -37,9 +37,9 @@
  * byte — no trailing junk), the body CRC32, every enum value and
  * every string index before anything is visible to the caller; a
  * truncated or bit-flipped file never produces a partial Report.
- * Parsed findings' location strings live in an arena the Report
- * co-owns (holdArena), so a loaded report is self-contained exactly
- * like one produced by the live pipeline.
+ * Parsed findings own their messages and point their locations at
+ * interned file names (internFileName), so a loaded report outlives
+ * the bytes it was parsed from, like one from the live pipeline.
  */
 
 #ifndef PMTEST_CORE_REPORT_IO_HH

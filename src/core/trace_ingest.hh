@@ -8,10 +8,9 @@
  * the decoders, so peak memory is the in-flight window — not the
  * whole input.
  *
- * Every trace arrives identity-stamped (fileId, traceId) with its
- * string arena attached, so the merged report canonicalizes to the
- * same bytes regardless of how sources, shards and decoder threads
- * interleaved.
+ * Every trace arrives identity-stamped (fileId, traceId), so the
+ * merged report canonicalizes to the same bytes regardless of how
+ * sources, shards and decoder threads interleaved.
  *
  * Used by pmtest_check (--decoders=N, --worker=i/N, multi-file),
  * examples/offline_check, bench_ingest, and the determinism tests.

@@ -80,8 +80,6 @@ main(int argc, char **argv)
                 "findings listed before truncating (default 50)");
     cli.addSize("--workers", &plan.workers,
                 "engine pool workers (0 = inline checking)");
-    cli.addSize("--batch", &plan.batch,
-                "traces submitted to the pool at a time", 1);
     cli.addSize("--decoders", &plan.decoders,
                 "decoder threads feeding the pool", 1);
     cli.addFlag("--stats", &plan.showStats,

@@ -166,14 +166,13 @@ resolveHint(const std::vector<PmOp> &ops, const FixHint &hint,
     panic("unknown FixAction");
 }
 
-/** Rebuild the trace from @p plan, preserving identity and arena. */
+/** Rebuild the trace from @p plan, preserving identity. */
 Trace
 materialize(const Trace &trace, const EditPlan &plan)
 {
     const std::vector<PmOp> &ops = trace.ops();
     Trace patched(trace.id(), trace.threadId());
     patched.setFileId(trace.fileId());
-    patched.setArena(trace.arena());
     patched.reserve(ops.size() + 4);
     for (size_t i = 0; i < ops.size(); i++) {
         for (const PmOp &ins : plan.inserts[i])

@@ -85,7 +85,7 @@ struct FixHint
 
 /**
  * Apply one hint to @p trace, returning the patched copy. Identity
- * (id, threadId, fileId) and the string arena carry over. A hint
+ * (id, threadId, fileId) carries over. A hint
  * whose anchor does not match — a delete action pointing at an op of
  * the wrong type, or an opIndex past the end — patches nothing and
  * the trace is returned unchanged (verification then rejects the

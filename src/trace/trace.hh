@@ -4,6 +4,9 @@
  * checkers produced by the program under test between two
  * PMTest_SEND_TRACE() calls. Traces are independent of one another
  * (the paper's §4.3): each gets its own shadow memory when checked.
+ * A trace owns no strings: its ops' file names have static storage,
+ * as __FILE__ literals or interned names (util/source_location.hh),
+ * so a trace and every finding derived from it outlive its source.
  */
 
 #ifndef PMTEST_TRACE_TRACE_HH
@@ -12,8 +15,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,27 +111,6 @@ class Trace
         threadId_ = thread_id;
     }
 
-    /**
-     * String arena the ops' SourceLocations point into, when this
-     * trace was decoded from a file (null for live-captured traces,
-     * whose locations are __FILE__ literals with static storage).
-     * Sharing the arena through the trace lets reports take ownership
-     * of the file-name storage their findings reference, so a Report
-     * can safely outlive the reader/bundle that decoded the trace.
-     */
-    const std::shared_ptr<const std::deque<std::string>> &
-    arena() const
-    {
-        return arena_;
-    }
-
-    /** Attach the owning string arena (decoder-side). */
-    void
-    setArena(std::shared_ptr<const std::deque<std::string>> arena)
-    {
-        arena_ = std::move(arena);
-    }
-
     /** Multi-line dump for diagnostics. */
     std::string str() const;
 
@@ -149,7 +129,6 @@ class Trace
     uint64_t id_ = 0;
     uint32_t threadId_ = 0;
     uint32_t fileId_ = 0;
-    std::shared_ptr<const std::deque<std::string>> arena_;
 };
 
 } // namespace pmtest

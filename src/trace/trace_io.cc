@@ -5,6 +5,9 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <string_view>
+
+#include "util/source_location.hh"
 
 namespace pmtest
 {
@@ -61,9 +64,6 @@ class BodyCursor
     size_t len_;
     size_t pos_ = 0;
 };
-
-/** Sanity cap on interned file-name length. */
-constexpr uint32_t kMaxNameLen = 1u << 20;
 
 } // namespace
 
@@ -122,8 +122,7 @@ encodeTraceBody(const Trace &trace, std::string *buf)
 }
 
 bool
-decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
-                std::deque<std::string> *arena)
+decodeTraceBody(const uint8_t *data, size_t len, Trace *out)
 {
     BodyCursor cursor(data, len);
     uint64_t id;
@@ -138,13 +137,13 @@ decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
     for (uint32_t s = 0; s < string_count; s++) {
         uint32_t name_len;
         const uint8_t *bytes;
-        if (!cursor.read(&name_len) || name_len > kMaxNameLen ||
+        if (!cursor.read(&name_len) ||
+            name_len > TraceWire::kMaxNameLen ||
             !cursor.readBytes(name_len, &bytes)) {
             return false;
         }
-        arena->emplace_back(reinterpret_cast<const char *>(bytes),
-                            name_len);
-        files.push_back(arena->back().c_str());
+        files.push_back(internFileName(std::string_view(
+            reinterpret_cast<const char *>(bytes), name_len)));
     }
 
     // Ops are fixed-width records, so one exact-size check covers

@@ -27,16 +27,16 @@
  * traces in parallel without scanning. Version 1 (unframed bodies,
  * no index) is no longer read: the reader rejects it.
  *
- * File-name strings are interned per trace; decoded traces own their
- * file names via a shared arena so SourceLocation's const char*
- * contract holds.
+ * File-name strings are deduplicated per trace body on the wire; the
+ * decoder points each op's SourceLocation at the process-wide interned
+ * copy (internFileName, util/source_location.hh), so a decoded trace
+ * owns no strings and outlives nothing.
  */
 
 #ifndef PMTEST_TRACE_TRACE_IO_HH
 #define PMTEST_TRACE_TRACE_IO_HH
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -61,6 +61,8 @@ struct TraceWire
     static constexpr size_t kIndexEntryBytes = 16;
     /** index_offset u64 + crc u32 + trace_count u32 + magic u64. */
     static constexpr size_t kFooterBytes = 24;
+    /** Longest file name a body may carry (decode rejects longer). */
+    static constexpr uint32_t kMaxNameLen = 1u << 20;
 };
 
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
@@ -76,12 +78,11 @@ void encodeTraceBody(const Trace &trace, std::string *buf);
 /**
  * Decode one trace body from memory with strict bounds checking:
  * never reads past data+len, and fails (returning false) on any
- * malformed field instead of guessing. File-name strings are
- * appended to @p arena (a deque: stable addresses under growth), and
- * the decoded ops point into it.
+ * malformed field instead of guessing. Each string-table entry is
+ * interned once (internFileName), and the decoded ops point at the
+ * interned names.
  */
-bool decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
-                     std::deque<std::string> *arena);
+bool decodeTraceBody(const uint8_t *data, size_t len, Trace *out);
 
 /** Serialize traces to a binary stream. @return bytes written. */
 size_t saveTraces(std::ostream &out, const std::vector<Trace> &traces);

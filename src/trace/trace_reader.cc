@@ -204,7 +204,7 @@ TraceFileReader::totalOps() const
 }
 
 bool
-TraceFileReader::decode(size_t i, DecodedTrace *out) const
+TraceFileReader::decode(size_t i, Trace *out) const
 {
     if (i >= index_.size())
         return false;
@@ -212,19 +212,13 @@ TraceFileReader::decode(size_t i, DecodedTrace *out) const
     const size_t offset = static_cast<size_t>(e.offset);
     const uint64_t frame_len = load<uint64_t>(data_, offset);
 
-    out->strings = std::make_shared<std::deque<std::string>>();
     if (!decodeTraceBody(data_ + offset + sizeof(uint64_t),
-                         static_cast<size_t>(frame_len), &out->trace,
-                         out->strings.get())) {
+                         static_cast<size_t>(frame_len), out)) {
         return false;
     }
-    // The trace co-owns its string arena, so a Report holding the
-    // trace's arena stays valid after this reader is destroyed.
-    out->trace.setArena(out->strings);
     // Cross-check the decode against the index: a mismatch means the
     // frame and the footer disagree — treat as corruption.
-    return out->trace.size() == e.opCount &&
-           out->trace.threadId() == e.threadId;
+    return out->size() == e.opCount && out->threadId() == e.threadId;
 }
 
 } // namespace pmtest

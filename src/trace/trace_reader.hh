@@ -26,7 +26,6 @@
 #define PMTEST_TRACE_TRACE_READER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,18 +42,6 @@ enum class IngestMode
     Auto,   ///< mmap if possible, else read()
     Mmap,   ///< require mmap
     Stream, ///< read() the file into a buffer (no mmap)
-};
-
-/**
- * One decoded trace plus the string arena its source locations point
- * into. Arenas are per-trace so concurrent decode() calls never
- * share mutable state; keep the bundle alive as long as the trace
- * (or any Finding derived from it) is used.
- */
-struct DecodedTrace
-{
-    Trace trace;
-    std::shared_ptr<std::deque<std::string>> strings;
 };
 
 /** Random-access reader over a mapped v2 trace file. */
@@ -111,10 +98,11 @@ class TraceFileReader
 
     /**
      * Decode trace @p i from its framed slice. Thread-safe: the
-     * mapping is immutable and each call fills its own arena.
+     * mapping is immutable, and the decoded ops' file names are
+     * interned, so the trace never points into this reader.
      * @return false when the body is malformed (fails closed).
      */
-    bool decode(size_t i, DecodedTrace *out) const;
+    bool decode(size_t i, Trace *out) const;
 
   private:
     struct IndexEntry

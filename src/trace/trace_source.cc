@@ -76,7 +76,7 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
     const size_t last = std::min(end_, first + max);
     uint64_t pulled_bytes = 0;
     for (size_t i = first; i < last; i++) {
-        DecodedTrace decoded;
+        Trace decoded;
         if (!reader_->decode(i, &decoded)) {
             if (error) {
                 error->file = path_;
@@ -85,9 +85,9 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
             }
             return Pull::Error;
         }
-        decoded.trace.setFileId(fileId_);
+        decoded.setFileId(fileId_);
         pulled_bytes += reader_->frameBytes(i);
-        out->push_back(std::move(decoded.trace));
+        out->push_back(std::move(decoded));
     }
     consumedTraces_.fetch_add(last - first, std::memory_order_relaxed);
     consumedBytes_.fetch_add(pulled_bytes, std::memory_order_relaxed);

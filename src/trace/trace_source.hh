@@ -13,8 +13,7 @@
  *
  * Identity model: every yielded trace carries a stable
  * (fileId, traceId) pair — fileId assigned per input source in input
- * order, traceId recorded by the producer — and every trace co-owns
- * the string arena its SourceLocations point into. Because
+ * order, traceId recorded by the producer. Because
  * `Report::canonicalize()` sorts findings by (fileId, traceId,
  * opIndex), any assignment of sources/shards to decoder threads
  * produces a byte-identical merged report.
@@ -122,8 +121,8 @@ class TraceSource
 
     /**
      * Claim and decode up to @p max traces into @p out (appended).
-     * Every yielded trace has its fileId stamped and its string
-     * arena attached. Blocking is implementation-defined: file
+     * Every yielded trace has its fileId stamped. Blocking is
+     * implementation-defined: file
      * sources never block; the capture source blocks until traces
      * arrive or the producer closes it.
      */

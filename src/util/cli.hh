@@ -70,7 +70,7 @@ class CliParser
     /**
      * A strictly-parsed numeric option `--name=N`. Values above
      * @p maxValue are usage errors; values below @p clampMin are
-     * clamped up to it (the 0-means-1 convention of --batch and
+     * clamped up to it (the 0-means-1 convention of --decoders and
      * friends). The full value string must parse: empty, trailing
      * junk and overflow are usage errors.
      */

@@ -10,14 +10,20 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace pmtest
 {
 
 /**
- * A (file, line) pair. We use a plain const char* for the file name:
- * every call site passes __FILE__, which has static storage duration,
- * so no ownership is needed and records stay trivially copyable.
+ * A (file, line) pair. The file name is a plain const char* with
+ * static storage duration, so no ownership is needed and records stay
+ * trivially copyable. This is the one ownership contract for location
+ * strings: `file` is either a __FILE__ literal (live capture, via
+ * PMTEST_HERE) or a name returned by internFileName() (every decoder
+ * of trace files and report files). Nothing else may be stored here,
+ * and nothing that holds a SourceLocation needs to keep its file name
+ * alive.
  */
 struct SourceLocation
 {
@@ -39,6 +45,17 @@ struct SourceLocation
         return std::string(file) + ":" + std::to_string(line);
     }
 };
+
+/**
+ * The process-lifetime copy of the source-file name @p name: equal
+ * names give the same pointer, from any thread, and the storage is
+ * never freed, so the result lives as long as a __FILE__ literal.
+ * Decoders call it once per string-table entry, never per op or per
+ * finding. The table only grows: it holds each distinct name seen by
+ * this process once (a handful in practice). Intern file names only,
+ * never per-finding text such as messages.
+ */
+const char *internFileName(std::string_view name);
 
 /** Convenience macro: the current source location. */
 #define PMTEST_HERE ::pmtest::SourceLocation(__FILE__, __LINE__)

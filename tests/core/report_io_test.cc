@@ -5,7 +5,9 @@
  * truncation, bit flips at every byte position and a version-1
  * header, gather-order independence of mergeReports, and its
  * refusal of any incomplete or inconsistent part set — the
- * properties `pmtest_check --merge` leans on.
+ * properties `pmtest_check --merge` leans on — and the lifetime of
+ * decoded findings: interned file names, per-finding messages, and
+ * reports that outlive their part files and wire bytes.
  */
 
 #include "core/report_io.hh"
@@ -14,6 +16,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -159,18 +163,22 @@ TEST(ReportIoTest, RoundTripEveryKindAndHint)
 
 TEST(ReportIoTest, DecodedReportIsSelfContained)
 {
-    std::string wire;
+    auto wire = std::make_unique<std::string>();
     {
-        // The encoded report dies before the decoded one is read:
-        // decoded locations must point into the report's own arena.
+        // The encoded report dies before the decoded one is read, and
+        // so do the wire bytes: decoded locations must be interned
+        // names, and messages owned by their findings.
         const Report original = sampleReport();
-        encodeReport(original, sampleMeta(), &wire);
+        encodeReport(original, sampleMeta(), wire.get());
     }
     Report decoded;
     ASSERT_TRUE(
-        decodeReport(wire.data(), wire.size(), &decoded, nullptr));
-    wire.assign(wire.size(), '\0'); // scramble the source bytes
+        decodeReport(wire->data(), wire->size(), &decoded, nullptr));
+    wire->assign(wire->size(), '\0'); // scramble the source bytes
+    wire.reset();                     // then free them (ASan)
     EXPECT_EQ(decoded.findings()[0].loc.str(), "a.cc:10");
+    EXPECT_EQ(decoded.findings()[0].loc.file, internFileName("a.cc"));
+    EXPECT_EQ(decoded.findings()[0].message, "not persisted");
     EXPECT_FALSE(decoded.str().empty());
 }
 
@@ -340,6 +348,14 @@ TEST(ReportIoTest, LoadErrorsNameThePath)
     EXPECT_NE(error.find(garbage), std::string::npos);
     EXPECT_NE(error.find("bad magic"), std::string::npos);
     std::remove(garbage.c_str());
+
+    // A directory opens but is no regular file: a read error.
+    const std::string dir = testing::TempDir() + "report_io_dir";
+    std::filesystem::create_directory(dir);
+    EXPECT_FALSE(loadReportFile(dir, &sink, nullptr, &error));
+    EXPECT_NE(error.find(dir + ": read error"), std::string::npos)
+        << error;
+    std::filesystem::remove(dir);
 }
 
 /** Split sampleReport's findings into @p n per-worker parts. */
@@ -431,6 +447,72 @@ TEST(ReportIoTest, MergeRoundTripsThroughTheWire)
     encodeReport(direct, direct_meta, &a);
     encodeReport(via_wire, wire_meta, &b);
     EXPECT_EQ(a, b);
+}
+
+TEST(ReportIoTest, PartsNamingTheSameFileShareItsName)
+{
+    // Two parts decoded from separate buffers both name a.cc: they
+    // share one interned name, while every finding keeps its own copy
+    // of its message.
+    std::vector<WorkerReport> parts = splitIntoWorkers(2);
+    std::vector<Report> decoded(parts.size());
+    for (size_t w = 0; w < parts.size(); w++) {
+        parts[w].report = Report();
+        parts[w].report.add(finding(Severity::Fail,
+                                    FindingKind::NotPersisted, "a.cc",
+                                    10 + w, "a message longer than any SSO buffer", 0, w, 1));
+        parts[w].report.add(finding(Severity::Fail,
+                                    FindingKind::NotPersisted, "a.cc",
+                                    20 + w, "a message longer than any SSO buffer", 0, w, 2));
+        std::string wire;
+        encodeReport(parts[w].report, parts[w].meta, &wire);
+        ASSERT_TRUE(decodeReport(wire.data(), wire.size(),
+                                 &decoded[w], nullptr));
+    }
+    const char *const name = internFileName("a.cc");
+    std::vector<const Finding *> all;
+    for (const Report &report : decoded)
+        for (const Finding &f : report.findings())
+            all.push_back(&f);
+    ASSERT_EQ(all.size(), 4u);
+    for (size_t i = 0; i < all.size(); i++) {
+        EXPECT_EQ(all[i]->loc.file, name) << "finding " << i;
+        EXPECT_EQ(all[i]->message, "a message longer than any SSO buffer") << "finding " << i;
+        for (size_t j = 0; j < i; j++)
+            EXPECT_NE(all[i]->message.data(), all[j]->message.data())
+                << "findings " << j << " and " << i
+                << " share message storage";
+    }
+}
+
+TEST(ReportIoTest, LoadedAndMergedReportOutlivesItsParts)
+{
+    // The --merge path end to end: parts written to files, loaded,
+    // the files deleted and the parts consumed by the merge. The
+    // merged report must still render every location and message.
+    std::vector<WorkerReport> parts = splitIntoWorkers(2);
+    std::vector<WorkerReport> loaded(parts.size());
+    for (size_t w = 0; w < parts.size(); w++) {
+        const std::string path = testing::TempDir() +
+                                 "report_io_part" + std::to_string(w) +
+                                 ".bin";
+        std::string error;
+        ASSERT_TRUE(
+            saveReportFile(path, parts[w].report, parts[w].meta, &error))
+            << error;
+        ASSERT_TRUE(loadReportFile(path, &loaded[w].report,
+                                   &loaded[w].meta, &error))
+            << error;
+        loaded[w].path = path;
+        std::remove(path.c_str());
+    }
+    Report want, merged;
+    ReportMeta want_meta, merged_meta;
+    ASSERT_TRUE(mergeReports(std::move(parts), &want, &want_meta));
+    ASSERT_TRUE(
+        mergeReports(std::move(loaded), &merged, &merged_meta));
+    expectSameFindings(merged, want);
+    EXPECT_EQ(merged.str(), want.str());
 }
 
 /**

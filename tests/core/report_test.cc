@@ -48,36 +48,25 @@ TEST(ReportTest, MergeAppends)
     EXPECT_EQ(a.findings().size(), 2u);
 }
 
-TEST(ReportTest, MoveMergeTakesFindingsAndArenas)
+TEST(ReportTest, MoveMergeTakesFindings)
 {
-    const auto arena_a = std::make_shared<const std::deque<std::string>>(
-        std::deque<std::string>{"a.cc"});
-    const auto arena_b = std::make_shared<const std::deque<std::string>>(
-        std::deque<std::string>{"b.cc"});
     Report into, first, second;
     first.add(finding(Severity::Fail, FindingKind::NotPersisted,
-                      arena_a->front().c_str(), 1));
-    first.holdArena(arena_a);
+                      internFileName("a.cc"), 1, "first"));
     second.add(finding(Severity::Warn, FindingKind::DuplicateLog,
-                       arena_b->front().c_str(), 2));
+                       internFileName("b.cc"), 2));
     second.add(finding(Severity::Fail, FindingKind::MissingLog,
-                       arena_b->front().c_str(), 3));
-    second.holdArena(arena_b);
+                       internFileName("b.cc"), 3));
 
     into.merge(std::move(first));
     into.merge(std::move(second));
     ASSERT_EQ(into.findings().size(), 3u);
-    EXPECT_EQ(into.findings()[0].loc.line, 1u);
-    EXPECT_EQ(into.findings()[2].loc.line, 3u);
-    ASSERT_EQ(into.arenas().size(), 2u);
-    EXPECT_EQ(into.arenas()[0], arena_a);
-    EXPECT_EQ(into.arenas()[1], arena_b);
+    EXPECT_EQ(into.findings()[0].loc.str(), "a.cc:1");
+    EXPECT_EQ(into.findings()[0].message, "first");
+    EXPECT_EQ(into.findings()[2].loc.str(), "b.cc:3");
     // The sources are emptied: nothing is held twice.
     EXPECT_TRUE(first.clean());
     EXPECT_TRUE(second.clean());
-    EXPECT_TRUE(first.arenas().empty());
-    EXPECT_TRUE(second.arenas().empty());
-    EXPECT_EQ(arena_b.use_count(), 2); // arena_b + into
 }
 
 TEST(ReportTest, CanonicalizeIsStableAndIdempotent)

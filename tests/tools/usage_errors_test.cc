@@ -105,6 +105,13 @@ TEST(UsageErrorsTest, CheckHasNoIngestOrShardsFlag)
                      "unknown option '--shards=2'");
 }
 
+TEST(UsageErrorsTest, CheckHasNoBatchFlag)
+{
+    // The pool takes one trace per submit; there is no knob for it.
+    expectUsageError(PMTEST_CHECK_BIN, "--batch=4 x.trace",
+                     "unknown option '--batch=4'");
+}
+
 TEST(UsageErrorsTest, CheckRejectsV1AndCorruptTraceFiles)
 {
     std::vector<pmtest::Trace> traces;

@@ -67,7 +67,7 @@ TEST(FixHintTest, InsertFlushFenceBeforeAnchor)
     EXPECT_EQ(patched.ops()[3].type, OpType::CheckIsPersist);
 }
 
-TEST(FixHintTest, PatchedTraceKeepsIdentityAndArena)
+TEST(FixHintTest, PatchedTraceKeepsIdentity)
 {
     const Trace trace = makeTrace({PmOp::write(0x10, 64)});
     FixHint hint;

@@ -65,9 +65,8 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
 
     for (size_t t = 0; t < 2; t++) {
         const Trace &orig = traces[t];
-        DecodedTrace decoded;
-        ASSERT_TRUE(reader->decode(t, &decoded));
-        const Trace &got = decoded.trace;
+        Trace got;
+        ASSERT_TRUE(reader->decode(t, &got));
         EXPECT_EQ(got.id(), orig.id());
         EXPECT_EQ(got.threadId(), orig.threadId());
         ASSERT_EQ(got.size(), orig.size());
@@ -142,9 +141,9 @@ TEST(TraceIoTest, FileRoundTrip)
         TraceFileReader::open(path, IngestMode::Auto, &error);
     ASSERT_TRUE(reader) << error;
     ASSERT_EQ(reader->traceCount(), 1u);
-    DecodedTrace decoded;
+    Trace decoded;
     ASSERT_TRUE(reader->decode(0, &decoded));
-    EXPECT_EQ(decoded.trace.id(), 42u);
+    EXPECT_EQ(decoded.id(), 42u);
     std::remove(path.c_str());
 }
 

@@ -118,9 +118,9 @@ roundTripIn(IngestMode mode, bool expect_mmap)
         EXPECT_EQ(reader->threadId(i), traces[i].threadId());
         total += traces[i].size();
 
-        DecodedTrace decoded;
+        Trace decoded;
         ASSERT_TRUE(reader->decode(i, &decoded));
-        expectTracesEqual(traces[i], decoded.trace);
+        expectTracesEqual(traces[i], decoded);
     }
     EXPECT_EQ(reader->totalOps(), total);
     std::remove(path.c_str());
@@ -301,8 +301,8 @@ TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
            "mean anything";
 
     // Parallel pipeline: mmap source, 4 decoders, 4 pool workers.
-    // The reports own the trace arenas, so nothing else needs to
-    // outlive them.
+    // Findings point at interned file names, so nothing else needs
+    // to outlive the report.
     core::Report parallel;
     {
         std::string error;

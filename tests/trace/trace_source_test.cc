@@ -1,6 +1,6 @@
 /**
  * @file
- * TraceSource tests: identity stamping and arena attachment across
+ * TraceSource tests: identity stamping and file-name interning across
  * every source kind, byte-balanced shard partitioning, fail-closed
  * opening of corrupt files (no fallback reader), the blocking
  * capture source, the multi-source composite, decode-error
@@ -99,7 +99,7 @@ checkVerdict(TraceSource &source, size_t decoders, size_t workers)
     return merged.str();
 }
 
-TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
+TEST(TraceSourceTest, V2FileSourceStampsIdentityAndInternsNames)
 {
     const auto traces = sampleTraces(6, 3);
     const std::string path = tmpPath("v2_identity");
@@ -115,13 +115,21 @@ TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
 
     std::vector<Trace> out;
     drain(*source, &out);
-    ASSERT_EQ(out.size(), traces.size());
-    for (const auto &trace : out) {
-        EXPECT_EQ(trace.fileId(), 7u);
-        EXPECT_TRUE(trace.arena() != nullptr)
-            << "decoded traces must co-own their string arena";
-    }
+    source.reset(); // the decoded traces must not point into it
     std::remove(path.c_str());
+    ASSERT_EQ(out.size(), traces.size());
+    for (size_t t = 0; t < out.size(); t++) {
+        EXPECT_EQ(out[t].fileId(), 7u);
+        ASSERT_EQ(out[t].size(), traces[t].size());
+        for (size_t i = 0; i < out[t].size(); i++) {
+            const SourceLocation &got = out[t].ops()[i].loc;
+            if (!got.valid())
+                continue;
+            EXPECT_STREQ(got.file, traces[t].ops()[i].loc.file);
+            EXPECT_EQ(got.file, internFileName(got.file))
+                << "decoded file names must be the interned copies";
+        }
+    }
 }
 
 TEST(TraceSourceTest, EveryHeaderIndexFooterBitFlipFailsClosed)
